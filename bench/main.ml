@@ -447,7 +447,7 @@ let fault () =
         List.map
           (fun be ->
             (name, Gsim_engine.Eval.to_string be, (mk be : Gsim.config)))
-          [ `Closures; `Bytecode ])
+          ([ `Closures ] @ if Gsim_engine.Native.available () then [ `Native ] else []))
       [
         ("full-cycle", fun be -> { (Gsim.verilator ()) with Gsim.backend = be });
         ("essent", fun be -> { Gsim.essent with Gsim.backend = be });
@@ -491,9 +491,7 @@ let fuzz () =
   let cases = if !Harness.quick then 8 else 40 in
   let matrices =
     [
-      ("gsim+bytecode", [ Fuzz.setup_of_name "gsim+bytecode" ]);
-      ( "gsim, both backends",
-        [ Fuzz.setup_of_name "gsim+bytecode"; Fuzz.setup_of_name "gsim+closures" ] );
+      ("gsim+closures", [ Fuzz.setup_of_name "gsim+closures" ]);
       ("full matrix", Fuzz.default_setups);
     ]
   in
@@ -518,7 +516,7 @@ let fuzz () =
   Printf.printf "  -> all matrices fuzz clean\n%!"
 
 (* ------------------------------------------------------------------ *)
-(* Evaluation-backend comparison: closures vs bytecode vs native        *)
+(* Evaluation-backend comparison: closures vs native                   *)
 (* ------------------------------------------------------------------ *)
 
 (* One short deterministic run whose folded node values certify that all
@@ -556,13 +554,12 @@ let backend_configs () =
   ]
 
 let backend () =
-  header "Backend - closures vs flat bytecode vs AOT native (narrow hot path)";
+  header "Backend - closures vs AOT native";
   let have_native = Gsim_engine.Native.available () in
   if not have_native then
     Printf.printf "  (no C compiler found - native column skipped; set GSIM_CC to override)\n";
-  Printf.printf "%-10s %-11s %10s %10s %10s %8s %8s %8s %8s %8s\n" "design" "engine"
-    "closures" "bytecode" "native" "ns/ev(c)" "ns/ev(b)" "ns/ev(n)" "byte/clo"
-    "nat/clo";
+  Printf.printf "%-10s %-11s %10s %10s %8s %8s %8s\n" "design" "engine" "closures" "native"
+    "ns/ev(c)" "ns/ev(n)" "nat/clo";
   let prog = coremark_long () in
   let rows = ref [] in
   List.iter
@@ -570,53 +567,42 @@ let backend () =
       List.iter
         (fun (ename, mk) ->
           let mc = measure (mk `Closures) d prog in
-          let mb = measure (mk `Bytecode) d prog in
-          let mn = if have_native then Some (measure (mk `Native) d prog) else None in
           let ns m =
             m.seconds *. 1e9 /. float_of_int (max m.counters.Counters.evals 1)
           in
           let kc, chc = backend_checksum (mk `Closures) d prog in
-          let kb, chb = backend_checksum (mk `Bytecode) d prog in
-          if kc <> kb || chc <> chb then
-            failwith
-              (Printf.sprintf "backend mismatch on %s/%s: %x/%d vs %x/%d"
-                 d.Designs.design_name ename kc chc kb chb);
-          if have_native then begin
-            let kn, chn = backend_checksum (mk `Native) d prog in
-            if kn <> kc || chn <> chc then
-              failwith
-                (Printf.sprintf "native backend mismatch on %s/%s: %x/%d vs %x/%d"
-                   d.Designs.design_name ename kc chc kn chn)
-          end;
-          let speedup = mb.hz /. mc.hz in
-          let native_speedup =
-            match mn with Some m -> m.hz /. mc.hz | None -> 0.
+          let native =
+            if not have_native then None
+            else begin
+              let mn = measure (mk `Native) d prog in
+              let kn, chn = backend_checksum (mk `Native) d prog in
+              if kn <> kc || chn <> chc then
+                failwith
+                  (Printf.sprintf "native backend mismatch on %s/%s: %x/%d vs %x/%d"
+                     d.Designs.design_name ename kc chc kn chn);
+              Some (mn, kn)
+            end
           in
-          Printf.printf
-            "%-10s %-11s %10s %10s %10s %8.1f %8.1f %8s %7.2fx %8s  (checksums agree)\n%!"
-            d.Designs.design_name ename (pp_hz mc.hz) (pp_hz mb.hz)
-            (match mn with Some m -> pp_hz m.hz | None -> "-")
-            (ns mc) (ns mb)
-            (match mn with Some m -> Printf.sprintf "%.1f" (ns m) | None -> "-")
-            speedup
-            (match mn with
-             | Some _ -> Printf.sprintf "%7.2fx" native_speedup
+          Printf.printf "%-10s %-11s %10s %10s %8.1f %8s %8s  (checksums agree)\n%!"
+            d.Designs.design_name ename (pp_hz mc.hz)
+            (match native with Some (m, _) -> pp_hz m.hz | None -> "-")
+            (ns mc)
+            (match native with Some (m, _) -> Printf.sprintf "%.1f" (ns m) | None -> "-")
+            (match native with
+             | Some (m, _) -> Printf.sprintf "%7.2fx" (m.hz /. mc.hz)
              | None -> "-");
           let native_fields =
-            match mn with
+            match native with
             | None -> ""
-            | Some m ->
+            | Some (m, kn) ->
               Printf.sprintf
-                ",\"native_hz\":%.1f,\"ns_per_eval_native\":%.2f,\"native_speedup\":%.3f"
-                m.hz (ns m) native_speedup
+                ",\"native_hz\":%.1f,\"ns_per_eval_native\":%.2f,\"native_speedup\":%.3f,\"native_checksum\":%d"
+                m.hz (ns m) (m.hz /. mc.hz) kn
           in
           rows :=
             Printf.sprintf
-              "    {\"design\":%S,\"engine\":%S,\"closures_hz\":%.1f,\"bytecode_hz\":%.1f,\"ns_per_eval_closures\":%.2f,\"ns_per_eval_bytecode\":%.2f,\"speedup\":%.3f%s,\"instrs_per_cycle\":%d,\"checksum\":%d}"
-              d.Designs.design_name ename mc.hz mb.hz (ns mc) (ns mb) speedup
-              native_fields
-              (mb.counters.Counters.instrs / max mb.cycles 1)
-              kb
+              "    {\"design\":%S,\"engine\":%S,\"closures_hz\":%.1f,\"ns_per_eval_closures\":%.2f,\"checksum\":%d%s}"
+              d.Designs.design_name ename mc.hz (ns mc) kc native_fields
             :: !rows)
         (backend_configs ()))
     Designs.all;

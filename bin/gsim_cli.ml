@@ -99,10 +99,10 @@ let backend_arg =
     & info [ "backend" ] ~docv:"BACKEND"
         ~doc:
           "Per-node evaluation backend: auto (the default — native when a C compiler \
-           is available and the design is big enough to amortize it, otherwise the \
-           best interpreted backend for the design size), native (ahead-of-time C \
-           compiled to a cached .so), bytecode (flat instruction streams for narrow \
-           signals), or closures (the original closure trees)")
+           is available and the design is big enough to amortize it, otherwise \
+           closures), native (ahead-of-time C compiled to a cached .so; falls back \
+           to closures without a C compiler), or closures (specialized closure \
+           trees; works everywhere)")
 
 let coverage_arg =
   Arg.(
@@ -980,9 +980,9 @@ let fuzz_run_cmd =
   let setups =
     Arg.(value & opt (some string) None
          & info [ "setups" ] ~docv:"S,S"
-             ~doc:"Comma-separated engine+backend subjects (e.g. gsim+bytecode,essent+closures); \
-                   default: all four presets with both interpreted backends, plus \
-                   native subjects when a C compiler is available")
+             ~doc:"Comma-separated engine+backend subjects (e.g. gsim+closures,gsim+native); \
+                   default: all four presets on closures, plus verilator and gsim \
+                   on native when a C compiler is available")
   in
   let watchdog =
     Arg.(value & opt float Fuzz.default_campaign.Fuzz.watchdog

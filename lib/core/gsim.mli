@@ -32,9 +32,10 @@ type config = {
   activation : Gsim_engine.Activity.activation_strategy;
   packed_exam : bool;
   backend : Gsim_engine.Eval.backend;
-      (** Per-node evaluation strategy (see {!Gsim_engine.Eval}): flat
-          bytecode for narrow nodes ([`Bytecode], the default everywhere)
-          or the original closure trees ([`Closures]).  The reference
+      (** Per-node evaluation strategy (see {!Gsim_engine.Eval}): closure
+          trees ([`Closures]), AOT-compiled C ([`Native]), or [`Auto], the
+          default everywhere — native when a C compiler works and the
+          circuit is big enough, otherwise closures.  The reference
           engine ignores it. *)
 }
 
@@ -86,7 +87,7 @@ val instantiate :
     [forcible] (node ids in the {e original} circuit) declares
     fault-injection targets for [sim.force]/[sim.release]: they are
     output-marked before optimization so they survive at every level, and
-    the engines route them around bytecode fusion and guard their latches.
+    the engines route them around native runs and guard their latches.
     Ids that do not exist are ignored (the campaign layer reports them as
     uninjectable).
 
@@ -117,7 +118,7 @@ val config_of_names : engine:string -> threads:int -> level:string option ->
     preset name (gsim/essent/verilator/arcilator/reference), [threads]
     applies to verilator, [level] optionally overrides the preset's
     optimization level ("O0".."O3"), [backend] is "auto", "native",
-    "bytecode", or "closures".  Raises [Failure] on unknown names —
+    or "closures".  Raises [Failure] on unknown names —
     shared by the CLI and the daemon so both reject inputs
     identically. *)
 

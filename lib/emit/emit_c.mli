@@ -44,8 +44,7 @@ val wide_offsets : Circuit.t -> int array * int
 
 val compilable : Circuit.t -> Circuit.node -> bool
 (** A [Logic]/[Reg_next] node whose result and every subexpression have
-    width in [1, 2048] — wider than the bytecode backend's narrow-only
-    gate.  Memory reads keep their closure evaluators. *)
+    width in [1, 2048].  Memory reads keep their closure evaluators. *)
 
 type result = {
   source : string;         (** the complete C translation unit *)

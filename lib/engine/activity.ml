@@ -24,9 +24,6 @@ type t = {
   sn_members : int array array;
       (* member node ids, parallel to [sn_steps] (change-hook support) *)
   sn_hits : int array;  (* evaluation count per supernode (profiling) *)
-  sn_instrs : int array;
-      (* static bytecode cost of one supernode sweep (sum over members);
-         zero under the closure backend *)
   (* Registers *)
   reg_reads : int array;          (* read-node id per register table index *)
   reg_copy : (unit -> bool) array;
@@ -164,7 +161,6 @@ let create ?(config = gsim_config) ?(backend = Eval.default) ?(forcible = []) c 
       sn_steps = Array.make (max nsuper 1) [||];
       sn_members = part.Partition.supernodes;
       sn_hits = Array.make (max nsuper 1) 0;
-      sn_instrs = Array.make (max nsuper 1) 0;
       reg_reads = Array.map (fun (r : Circuit.register) -> r.read) regs;
       reg_copy =
         Array.map
@@ -207,10 +203,9 @@ let create ?(config = gsim_config) ?(backend = Eval.default) ?(forcible = []) c 
       let steps =
         Array.map
           (fun id ->
-            let eval, ni =
+            let eval =
               Eval.node_evaluator ~sel ~forcible:is_forcible rt (Circuit.node c id)
             in
-            t.sn_instrs.(k) <- t.sn_instrs.(k) + ni;
             let targets = target_supers part ~exclude:k succs.(id) in
             let act = make_activator t config.activation targets in
             let no_targets = Array.length targets = 0 in
@@ -400,8 +395,7 @@ let eval_super t k =
     if (Array.unsafe_get steps i) () then
       ctr.Counters.changed <- ctr.Counters.changed + 1
   done;
-  ctr.Counters.evals <- ctr.Counters.evals + n;
-  ctr.Counters.instrs <- ctr.Counters.instrs + Array.unsafe_get t.sn_instrs k
+  ctr.Counters.evals <- ctr.Counters.evals + n
 
 let sweep_packed t =
   let ctr = t.counters in

@@ -38,11 +38,11 @@ type t
 val create :
   ?config:config -> ?backend:Eval.backend -> ?forcible:int list ->
   Circuit.t -> Partition.t -> t
-(** [backend] defaults to {!Eval.default} ([`Bytecode]).
+(** [backend] defaults to {!Eval.default} ([`Auto]).
     The partition must be valid for the circuit (see
     {!Partition.validate}); all supernodes start active.
     [forcible] declares fault-injection targets: those nodes evaluate
-    through guarded closures (never fused into bytecode segments) and get
+    through guarded closures (never native functions) and get
     supernode-aware wake closures for {!force}/{!release}. *)
 
 val poke : t -> int -> Bits.t -> unit

@@ -13,15 +13,9 @@ type t = {
   mutable activations : int;   (** successor activations ([A_succ] events) *)
   mutable reg_commits : int;   (** registers actually latched with a new value *)
   mutable reset_checks : int;  (** reset-signal examinations *)
-  mutable instrs : int;
-      (** static bytecode stream length dispatched per evaluation
-          (short-circuit [case] instructions may skip past part of it, so
-          retired counts can be lower); zero under the closure and native
-          backends *)
   mutable backend : string;
-      (** the backend that actually ran ("closures" / "bytecode" /
-          "native"), set by engines at build time from the resolved
-          {!Eval.selected} — observable proof of what [`Auto] or a
+      (** the backend that actually ran ("closures" / "native"), set by
+          engines at build time from the resolved {!Eval.selected} — observable proof of what [`Auto] or a
           fallback picked.  Empty on the reference engine; not reset by
           {!clear}. *)
   mutable native_cache : string;
@@ -41,7 +35,7 @@ val activity_factor : t -> total_nodes:int -> float
 val to_json : t -> string
 (** One flat JSON object with every counter field — the CLI embeds it in
     its [--json] output so bench tooling can script the counters.
-    [instrs] appears only when nonzero and [backend]/[native_cache] only
-    when set, keeping reference-engine output unchanged. *)
+    [backend]/[native_cache] appear only when set, keeping
+    reference-engine output unchanged. *)
 
 val pp : Format.formatter -> t -> unit

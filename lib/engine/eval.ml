@@ -1,57 +1,46 @@
 open Gsim_ir
 
-type backend = [ `Closures | `Bytecode | `Native | `Auto ]
-
-type effective = [ `Closures | `Bytecode | `Native ]
+type backend = [ `Closures | `Native | `Auto ]
 
 let default : backend = `Auto
 
 let to_string = function
   | `Closures -> "closures"
-  | `Bytecode -> "bytecode"
   | `Native -> "native"
   | `Auto -> "auto"
 
 let of_string = function
   | "closures" | "closure" -> Some `Closures
-  | "bytecode" -> Some `Bytecode
   | "native" -> Some `Native
   | "auto" -> Some `Auto
   | _ -> None
 
-let names = "auto, native, bytecode, or closures"
+let names = "auto, native, or closures"
 
 (* ------------------------------------------------------------------ *)
 (* Backend selection                                                   *)
 (* ------------------------------------------------------------------ *)
 
 type selected = {
-  requested : backend;
-  effective : effective;
-  native : Native.unit_t option;  (** [Some] iff [effective = `Native] *)
-  cache : string;  (** "hit" / "miss" for native, "" otherwise *)
+  native : Native.unit_t option;  (* [None] under closures *)
+  cache : string;  (* "hit" / "miss" for native, "" otherwise *)
 }
 
-(* Thresholds calibrated against BENCH_backends.json [instrs_per_cycle]:
+(* Native wins everywhere it compiles, but paying a cc invocation for a
+   tiny circuit (unit tests, fuzz cases, stuCore fault campaigns that
+   build thousands of short-lived engines) costs more wall clock than it
+   ever returns.  On the optimized built-in designs {!circuit_size} is
+   273-281 for stuCore and at least 5081 (Rocket, gsim preset) for
+   Rocket, BOOM and XiangShan on every preset, so the threshold sits
+   between them with a wide margin on both sides. *)
+let native_threshold = 1024
 
-   - Dispatch overhead makes bytecode lose to closures on big designs
-     (Rocket full-cycle 1191 instrs/cycle loses at 0.78x, BOOM 3549 and
-     XiangShan 10099 lose; stuCore 181/285 and Rocket-gsim 583 win), so
-     auto picks bytecode at or below 700 static instructions per sweep
-     and closures above — classifying all eight measured rows correctly.
-   - Native wins everywhere it compiles, but paying a cc invocation for
-     a tiny circuit (unit tests, fuzz cases) costs more wall clock than
-     it ever returns, so auto only goes native from 512 instructions up. *)
-let native_threshold = 512
-
-let bytecode_threshold = 700
-
-let estimate_instrs c =
+let circuit_size c =
   Array.fold_left
     (fun acc id ->
-      match Bytecode.compile c (Circuit.node c id) with
-      | Some p -> acc + Bytecode.instr_count p
-      | None -> acc)
+      match (Circuit.node c id).Circuit.expr with
+      | Some e -> acc + Expr.size e + 1
+      | None -> acc + 1)
     0 (Circuit.eval_order c)
 
 (* Fallback diagnostics are printed once per distinct message per
@@ -64,163 +53,109 @@ let diag msg =
     prerr_endline msg
   end
 
-let interpreted_pick est : effective =
-  if est <= bytecode_threshold then `Bytecode else `Closures
-
 let cache_of_origin = function
   | Native.Compiled -> "miss"
   | Native.Memo_hit | Native.Disk_hit -> "hit"
 
-let select backend c =
-  let interpreted eff =
-    { requested = backend; effective = eff; native = None; cache = "" }
-  in
-  match backend with
-  | `Closures -> interpreted `Closures
-  | `Bytecode -> interpreted `Bytecode
-  | `Native -> (
-    match Native.load c with
-    | Some (u, origin) ->
-      { requested = backend;
-        effective = `Native;
-        native = Some u;
-        cache = cache_of_origin origin }
-    | None ->
-      let eff = interpreted_pick (estimate_instrs c) in
-      diag
-        (Printf.sprintf
-           "gsim: native backend unavailable (no C compiler, disabled, or compile \
-            failed); falling back to %s"
-           (to_string (eff :> backend)));
-      interpreted eff)
-  | `Auto ->
-    let est = estimate_instrs c in
-    if est >= native_threshold && Native.available () then
-      match Native.load c with
-      | Some (u, origin) ->
-        { requested = backend;
-          effective = `Native;
-          native = Some u;
-          cache = cache_of_origin origin }
-      | None -> interpreted (interpreted_pick est)
-    else interpreted (interpreted_pick est)
+let closures = { native = None; cache = "" }
 
-let effective_string sel = to_string (sel.effective :> backend)
+let native c =
+  Option.map
+    (fun (u, origin) -> { native = Some u; cache = cache_of_origin origin })
+    (Native.load c)
+
+let select backend c =
+  match backend with
+  | `Closures -> closures
+  | `Native -> (
+    match native c with
+    | Some sel -> sel
+    | None ->
+      diag
+        "gsim: native backend unavailable (no C compiler, disabled, or compile \
+         failed); falling back to closures";
+      closures)
+  | `Auto ->
+    if circuit_size c >= native_threshold && Native.available () then
+      Option.value (native c) ~default:closures
+    else closures
+
+let effective_string sel = if sel.native = None then "closures" else "native"
 
 let never_forcible _ = false
 
 let node_evaluator ~sel ?(forcible = never_forcible) rt (nd : Circuit.node) =
   let id = nd.Circuit.id in
   (* Forcible nodes evaluate through a guarded closure under every
-     backend: consumers fused into the same segment (or native run) would
-     read the node's arena slot mid-dispatch, so the slot must hold the
-     overridden value the moment it is written. *)
-  if forcible id then (Runtime.guard rt id (Runtime.node_evaluator rt nd), 0)
+     backend, so the slot holds the overridden value the moment it is
+     written. *)
+  if forcible id then Runtime.guard rt id (Runtime.node_evaluator rt nd)
   else
-    match sel.effective with
-    | `Closures -> (Runtime.node_evaluator rt nd, 0)
-    | `Bytecode -> (
-      match Bytecode.compile (Runtime.circuit rt) nd with
-      | Some p -> (Bytecode.evaluator rt p, Bytecode.instr_count p)
-      | None -> (Runtime.node_evaluator rt nd, 0))
-    | `Native -> (
-      match sel.native with
-      | Some u when Native.has_fn u id -> (Native.node_evaluator u rt id, 0)
-      | Some _ | None -> (Runtime.node_evaluator rt nd, 0))
+    match sel.native with
+    | Some u when Native.has_fn u id -> Native.node_evaluator u rt id
+    | Some _ | None -> Runtime.node_evaluator rt nd
 
-(* A sweep plan: maximal runs of backend-compilable nodes fused into
-   segments (bytecode) or dense native runs, wide/fallback nodes
-   interleaved as singleton closure steps.  Planning happens before the
-   runtime exists — bytecode segments claim arena extension slots from
-   [scratch_base] upward (native runs claim none), and the engine creates
-   the runtime with [plan_scratch] extra slots before realizing. *)
+(* A sweep plan: maximal runs of natively compiled nodes become dense
+   native runs; everything else (closures backend, wide/fallback nodes,
+   forcible nodes) groups into closure runs, each node flagged with
+   whether its step is guarded. *)
 
 type item =
-  | Seg of Bytecode.segment
-  | Nrun of Native.unit_t * int array
-  | Fallback of int
-  | Guarded of int
+  | Native_run of Native.unit_t * int array
+  | Closure_run of (int * bool) array
 
-type plan = { items : item array; scratch : int }
+type plan = item array
 
-let plan ?(forcible = never_forcible) sel c ~scratch_base ids =
+let plan ?(forcible = never_forcible) sel ids =
   let items = ref [] in
-  let run = ref [] in
-  let nrun = ref [] in
-  let off = ref 0 in
-  let flush_seg () =
-    match !run with
-    | [] -> ()
-    | ps ->
-      let seg = Bytecode.fuse ~base:(scratch_base + !off) (List.rev ps) in
-      off := !off + Bytecode.segment_scratch seg;
-      items := Seg seg :: !items;
-      run := []
-  in
-  let flush_nrun u =
-    match !nrun with
-    | [] -> ()
-    | ids ->
-      items := Nrun (u, Array.of_list (List.rev ids)) :: !items;
+  let nrun = ref [] and crun = ref [] in
+  let flush_native u =
+    if !nrun <> [] then begin
+      items := Native_run (u, Array.of_list (List.rev !nrun)) :: !items;
       nrun := []
+    end
   in
-  (match sel.effective, sel.native with
-   | `Native, Some u ->
-     Array.iter
-       (fun id ->
-         if forcible id then begin
-           (* Demoted from the run: a forced node's slot must hold the
-              overridden value before any consumer in the run reads it. *)
-           flush_nrun u;
-           items := Guarded id :: !items
-         end
-         else if Native.has_fn u id then nrun := id :: !nrun
-         else begin
-           flush_nrun u;
-           items := Fallback id :: !items
-         end)
-       ids;
-     flush_nrun u
-   | (`Native | `Bytecode), _ ->
-     Array.iter
-       (fun id ->
-         if forcible id then begin
-           flush_seg ();
-           items := Guarded id :: !items
-         end
-         else
-           match Bytecode.compile c (Circuit.node c id) with
-           | Some p -> run := p :: !run
-           | None ->
-             flush_seg ();
-             items := Fallback id :: !items)
-       ids;
-     flush_seg ()
-   | `Closures, _ ->
-     Array.iter
-       (fun id ->
-         items := (if forcible id then Guarded id else Fallback id) :: !items)
-       ids);
-  { items = Array.of_list (List.rev !items); scratch = !off }
-
-let plan_scratch pl = pl.scratch
+  let flush_closures () =
+    if !crun <> [] then begin
+      items := Closure_run (Array.of_list (List.rev !crun)) :: !items;
+      crun := []
+    end
+  in
+  Array.iter
+    (fun id ->
+      match sel.native with
+      | Some u when Native.has_fn u id && not (forcible id) ->
+        flush_closures ();
+        nrun := id :: !nrun
+      | Some u ->
+        (* Not compiled, or forcible: a forcible node leaves the native
+           run so its slot holds the overridden value before any consumer
+           in the run reads it. *)
+        flush_native u;
+        crun := (id, forcible id) :: !crun
+      | None -> crun := (id, forcible id) :: !crun)
+    ids;
+  Option.iter flush_native sel.native;
+  flush_closures ();
+  Array.of_list (List.rev !items)
 
 let realize rt pl =
   let c = Runtime.circuit rt in
-  let instrs = ref 0 in
-  let steps =
-    Array.map
-      (function
-        | Seg seg ->
-          instrs := !instrs + Bytecode.segment_instrs seg;
-          Bytecode.segment_evaluator rt seg
-        | Nrun (u, ids) -> Native.run_step u rt ids
-        | Fallback id ->
-          let f = Runtime.node_evaluator rt (Circuit.node c id) in
-          fun () -> if f () then 1 else 0
-        | Guarded id ->
-          let f = Runtime.guard rt id (Runtime.node_evaluator rt (Circuit.node c id)) in
-          fun () -> if f () then 1 else 0)
-      pl.items
-  in
-  (steps, !instrs)
+  Array.map
+    (function
+      | Native_run (u, ids) -> Native.run_step u rt ids
+      | Closure_run nodes ->
+        let fs =
+          Array.map
+            (fun (id, guarded) ->
+              let f = Runtime.node_evaluator rt (Circuit.node c id) in
+              if guarded then Runtime.guard rt id f else f)
+            nodes
+        in
+        fun () ->
+          let n = ref 0 in
+          for i = 0 to Array.length fs - 1 do
+            if (Array.unsafe_get fs i) () then incr n
+          done;
+          !n)
+    pl

@@ -4,31 +4,24 @@
     than calling {!Runtime.node_evaluator} directly, so one switch selects
     between the evaluation strategies:
 
-    - [`Closures] — the original tree of specialized closures built by
-      {!Runtime.node_evaluator};
-    - [`Bytecode] — the flat register-machine programs of {!Bytecode} for
-      narrow (packed-int) nodes, with an automatic per-node fallback to
-      closures for wide nodes, memory reads, and expressions that touch the
-      wide arena;
-    - [`Native] — ahead-of-time compiled C ({!Native}): each narrow node's
+    - [`Closures] — the tree of specialized closures built by
+      {!Runtime.node_evaluator}; works everywhere;
+    - [`Native] — ahead-of-time compiled C ({!Native}): each node's
       expression tree becomes a machine-code function over the same arena,
-      with the same per-node closure fallback.  Degrades to the best
-      interpreted backend (with a one-line diagnostic) when no C compiler
+      with a per-node closure fallback for nodes the emitter skips.
+      Degrades to closures (with a one-line diagnostic) when no C compiler
       is available or compilation fails;
-    - [`Auto] — the documented default: native when available and the
-      circuit is big enough to amortize a [cc] run, otherwise bytecode on
-      small circuits and closures on big ones (dispatch overhead scales
-      with the static instruction count — see BENCH_backends.json).
+    - [`Auto] — the documented default: native when a C compiler works
+      and the circuit is big enough to amortize a [cc] run, otherwise
+      closures.
 
     Every backend is bit-identical by construction.  Engines resolve the
-    requested backend to an {!effective} one with {!select} once per
-    instance, then build evaluators or plans from the selection. *)
+    requested backend with {!select} once per instance, then build
+    evaluators or plans from the selection. *)
 
 open Gsim_ir
 
-type backend = [ `Closures | `Bytecode | `Native | `Auto ]
-
-type effective = [ `Closures | `Bytecode | `Native ]
+type backend = [ `Closures | `Native | `Auto ]
 
 val default : backend
 (** [`Auto]. *)
@@ -36,17 +29,14 @@ val default : backend
 val to_string : backend -> string
 
 val of_string : string -> backend option
-(** Accepts ["auto"], ["native"], ["bytecode"], ["closures"] (and
-    ["closure"]). *)
+(** Accepts ["auto"], ["native"], ["closures"] (and ["closure"]). *)
 
 val names : string
 (** Human-readable list of accepted backend names, for error messages. *)
 
 (** A resolved backend choice for one circuit. *)
 type selected = {
-  requested : backend;
-  effective : effective;
-  native : Native.unit_t option;  (** [Some] iff [effective = `Native] *)
+  native : Native.unit_t option;  (** [None] when closures run *)
   cache : string;
       (** under native: ["hit"] when the compiled object came from the
           in-process memo or the disk cache (no [cc] run), ["miss"] on a
@@ -56,51 +46,36 @@ type selected = {
 
 val select : backend -> Circuit.t -> selected
 (** Resolve [backend] for [c], loading (or compiling) the native unit
-    when called for and applying the fallback ladder:
-    native unavailable → bytecode below the instruction threshold,
-    closures above it. *)
+    when called for; native falls back to closures when unavailable. *)
 
 val effective_string : selected -> string
+(** ["native"] or ["closures"]: the backend that actually runs. *)
 
-val estimate_instrs : Circuit.t -> int
-(** Static bytecode instruction count of one full sweep — the quantity
-    the auto heuristic thresholds. *)
+val native_threshold : int
+(** [`Auto] goes native only when {!circuit_size} reaches this. *)
+
+val circuit_size : Circuit.t -> int
+(** Σ ([Expr.size] + 1) over the evaluated nodes: a compile-free size
+    measure, the quantity the auto heuristic thresholds. *)
 
 val node_evaluator :
   sel:selected -> ?forcible:(int -> bool) -> Runtime.t -> Circuit.node ->
-  (unit -> bool) * int
-(** The node's step function (evaluate, store, report change) plus its
-    static bytecode cost — the number of instructions retired per
-    evaluation, for the {!Counters.t.instrs} counter.  Zero whenever the
-    node evaluates through closures or native code.  Nodes for which
-    [forcible] holds (fault-injection targets) are wrapped with
+  unit -> bool
+(** The node's step function: evaluate, store, report change.  Nodes for
+    which [forcible] holds (fault-injection targets) are wrapped with
     {!Runtime.guard} and always evaluate through closures, so a force
     override is visible to every consumer under every backend. *)
 
-(** A compiled sweep over a node sequence: maximal runs of compilable
-    nodes fused into bytecode segments or dense native runs,
-    wide/fallback nodes interleaved as singleton closure steps. *)
+(** A sweep over a node sequence: maximal runs of natively compiled nodes
+    as dense native runs, every other node in closure runs. *)
 type plan
 
-val plan :
-  ?forcible:(int -> bool) -> selected -> Circuit.t -> scratch_base:int ->
-  int array -> plan
-(** [plan sel c ~scratch_base ids] compiles [ids] (evaluated in order,
-    back-to-back) according to [sel].  Bytecode segments claim
-    narrow-arena slots from [scratch_base] upward (native runs claim
-    none).  Planning needs no runtime: create it afterwards with at least
-    {!plan_scratch} extra slots past [scratch_base] (see
-    [Runtime.create ~extra_slots]).  [forcible] nodes are excluded from
-    fusion and realized as guarded closure steps (see
-    {!node_evaluator}). *)
+val plan : ?forcible:(int -> bool) -> selected -> int array -> plan
+(** [plan sel ids] groups [ids] (evaluated in order, back-to-back)
+    according to [sel].  [forcible] nodes are excluded from native runs
+    and realized as guarded closure steps (see {!node_evaluator}). *)
 
-val plan_scratch : plan -> int
-(** Arena-extension slots the plan's segments occupy past its
-    [scratch_base]. *)
-
-val realize : Runtime.t -> plan -> (unit -> int) array * int
-(** Bind a plan to a runtime.  Each returned step evaluates its segment
-    (or native run, or fallback node) and returns how many node values
-    changed; calling all steps in order evaluates exactly the planned ids
-    in order.  The [int] is the total static instruction count per full
-    sweep, for {!Counters.t.instrs} (native runs count zero). *)
+val realize : Runtime.t -> plan -> (unit -> int) array
+(** Bind a plan to a runtime.  Each returned step evaluates its run and
+    returns how many node values changed; calling all steps in order
+    evaluates exactly the planned ids in order. *)

@@ -3,53 +3,18 @@ open Gsim_ir
 
 type t = {
   rt : Runtime.t;
-  evals : (unit -> bool) array;
-      (** per-node closure steps (closure backend); empty under bytecode *)
   sweeps : (unit -> int) array;
-      (** fused segment steps (bytecode backend); empty under closures *)
-  nevals : int;  (** nodes evaluated per cycle, either way *)
-  instrs_per_cycle : int;
-      (** static sum of the bytecode cost of every evaluator; zero under
-          the closure backend *)
+      (** the realized evaluation plan: native runs and closure runs, each
+          returning its changed count *)
+  nevals : int;  (** nodes evaluated per cycle *)
   write_commits : (unit -> bool) array;
-  reg_copies : (unit -> bool) array;
-      (** closure compare-copies: all registers under the closure backend,
-          only wide ones under bytecode *)
-  reg_sweep : (unit -> int) array;
-      (** singleton [op_copy] segment committing every narrow register
-          (bytecode backend); empty otherwise.  Returns the commit count. *)
+  reg_commit : unit -> int;  (** latches every register, returns commits *)
   resets : ((unit -> bool) * (unit -> bool) array) array;
       (** (signal test, per-register appliers), grouped by reset signal *)
   forcible : (int, unit) Hashtbl.t;
       (** non-input node ids declared forcible at build time *)
   counters : Counters.t;
 }
-
-(* Group slow-path resets by their signal so a design with one reset net
-   performs one check per cycle regardless of register count.  Appliers
-   for forcible read nodes are guarded so a stuck-at override survives a
-   reset. *)
-let reset_groups c rt is_forcible =
-  let groups = Hashtbl.create 8 in
-  List.iter
-    (fun (r : Circuit.register) ->
-      match r.reset with
-      | Some rst when rst.Circuit.slow_path ->
-        let sig_id = rst.Circuit.reset_signal in
-        let existing = try Hashtbl.find groups sig_id with Not_found -> [] in
-        let applier = Runtime.reset_applier rt r in
-        let applier =
-          if is_forcible r.Circuit.read then Runtime.guard rt r.Circuit.read applier
-          else applier
-        in
-        Hashtbl.replace groups sig_id (applier :: existing)
-      | Some _ | None -> ())
-    (Circuit.registers c);
-  Hashtbl.fold
-    (fun sig_id appliers acc ->
-      (Runtime.signal_is_set rt sig_id, Array.of_list appliers) :: acc)
-    groups []
-  |> Array.of_list
 
 let create ?(backend = Eval.default) ?(forcible = []) c =
   let order = Circuit.eval_order c in
@@ -63,81 +28,19 @@ let create ?(backend = Eval.default) ?(forcible = []) c =
     forcible;
   let is_forcible id = Hashtbl.mem fset id in
   let sel = Eval.select backend c in
-  let rt, evals, sweeps, instrs_per_cycle, reg_copies, reg_sweep =
-    match sel.Eval.effective with
-    | `Closures ->
-      let rt = Runtime.create c in
-      let copier (r : Circuit.register) =
-        let f = Runtime.reg_copier rt r in
-        if is_forcible r.Circuit.read then Runtime.guard rt r.Circuit.read f else f
-      in
-      ( rt,
-        Array.map
-          (fun id ->
-            fst (Eval.node_evaluator ~sel ~forcible:is_forcible rt
-                   (Circuit.node c id)))
-          order,
-        [||], 0,
-        registers |> List.map copier |> Array.of_list,
-        [||] )
-    | `Bytecode | `Native ->
-      (* Plan first (segments claim arena-extension slots; native runs
-         claim none), then create the runtime with the extension, then
-         bind. *)
-      let pl = Eval.plan ~forcible:is_forcible sel c ~scratch_base:(Circuit.max_id c) order in
-      let rt = Runtime.create ~extra_slots:(Eval.plan_scratch pl) c in
-      let sweeps, instrs = Eval.realize rt pl in
-      (* Narrow registers commit through one op_copy segment; wide ones —
-         and forcible ones, whose latch must re-apply the override — keep
-         their (guarded) closure copiers. *)
-      let narrow_regs, closure_regs =
-        List.partition
-          (fun (r : Circuit.register) ->
-            Bits.fits_int (Circuit.node c r.Circuit.read).Circuit.width
-            && Bits.fits_int (Circuit.node c r.Circuit.next).Circuit.width
-            && not (is_forcible r.Circuit.read))
-          registers
-      in
-      let copier (r : Circuit.register) =
-        let f = Runtime.reg_copier rt r in
-        if is_forcible r.Circuit.read then Runtime.guard rt r.Circuit.read f else f
-      in
-      let reg_sweep =
-        match narrow_regs with
-        | [] -> [||]
-        | _ ->
-          let pairs =
-            Array.of_list
-              (List.map
-                 (fun (r : Circuit.register) -> (r.Circuit.next, r.Circuit.read))
-                 narrow_regs)
-          in
-          [| Bytecode.segment_evaluator rt (Bytecode.copy_segment pairs) |]
-      in
-      ( rt, [||], sweeps,
-        instrs + List.length narrow_regs,
-        closure_regs |> List.map copier |> Array.of_list,
-        reg_sweep )
-  in
-  let write_commits =
-    Array.to_list (Circuit.memories c)
-    |> List.mapi (fun mi (m : Circuit.memory) ->
-           List.map (fun w -> Runtime.write_committer rt mi w) m.write_ports)
-    |> List.concat |> Array.of_list
-  in
+  let rt = Runtime.create c in
+  let sweeps = Eval.realize rt (Eval.plan ~forcible:is_forcible sel order) in
+  let reg_commit = Runtime.reg_committer rt ~forcible:is_forcible registers in
   let counters = Counters.create () in
   counters.Counters.backend <- Eval.effective_string sel;
   counters.Counters.native_cache <- sel.Eval.cache;
   {
     rt;
-    evals;
     sweeps;
     nevals = Array.length order;
-    instrs_per_cycle;
-    write_commits;
-    reg_copies;
-    reg_sweep;
-    resets = reset_groups c rt is_forcible;
+    write_commits = Runtime.write_committers rt;
+    reg_commit;
+    resets = Runtime.reset_groups rt ~forcible:is_forcible;
     forcible = fset;
     counters;
   }
@@ -148,7 +51,7 @@ let peek t id = Runtime.peek t.rt id
 
 (* Full-cycle engines re-evaluate everything each step, so force/release
    need no wakeup — only the declaration check (non-input targets must
-   have been routed around bytecode fusion at build time). *)
+   have been routed around native runs at build time). *)
 let check_forcible t id =
   let nd = Circuit.node (Runtime.circuit t.rt) id in
   match nd.Circuit.kind with
@@ -167,28 +70,14 @@ let release t id = ignore (Runtime.release t.rt id)
 
 let step t =
   let ctr = t.counters in
-  (if Array.length t.evals > 0 then begin
-     let evals = t.evals in
-     for i = 0 to Array.length evals - 1 do
-       if evals.(i) () then ctr.Counters.changed <- ctr.Counters.changed + 1
-     done
-   end
-   else begin
-     let sweeps = t.sweeps in
-     for i = 0 to Array.length sweeps - 1 do
-       ctr.Counters.changed <- ctr.Counters.changed + (Array.unsafe_get sweeps i) ()
-     done
-   end);
+  let sweeps = t.sweeps in
+  for i = 0 to Array.length sweeps - 1 do
+    ctr.Counters.changed <- ctr.Counters.changed + (Array.unsafe_get sweeps i) ()
+  done;
   ctr.Counters.evals <- ctr.Counters.evals + t.nevals;
-  ctr.Counters.instrs <- ctr.Counters.instrs + t.instrs_per_cycle;
   (* Memory writes first: they read register outputs of this cycle. *)
   Array.iter (fun w -> ignore (w ())) t.write_commits;
-  for i = 0 to Array.length t.reg_copies - 1 do
-    if t.reg_copies.(i) () then ctr.Counters.reg_commits <- ctr.Counters.reg_commits + 1
-  done;
-  for i = 0 to Array.length t.reg_sweep - 1 do
-    ctr.Counters.reg_commits <- ctr.Counters.reg_commits + t.reg_sweep.(i) ()
-  done;
+  ctr.Counters.reg_commits <- ctr.Counters.reg_commits + t.reg_commit ();
   Array.iter
     (fun (test, appliers) ->
       ctr.Counters.reset_checks <- ctr.Counters.reset_checks + 1;

@@ -11,10 +11,10 @@ open Gsim_ir
 type t
 
 val create : ?backend:Eval.backend -> ?forcible:int list -> Circuit.t -> t
-(** [backend] defaults to {!Eval.default} ([`Bytecode]).  [forcible]
+(** [backend] defaults to {!Eval.default} ([`Auto]).  [forcible]
     declares fault-injection targets: those nodes evaluate through
-    guarded closures (never fused into bytecode segments) so {!force}
-    overrides are visible to every consumer. *)
+    guarded closures (never inside native runs) so {!force} overrides
+    are visible to every consumer. *)
 
 val poke : t -> int -> Bits.t -> unit
 val peek : t -> int -> Bits.t

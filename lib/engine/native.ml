@@ -176,7 +176,7 @@ let write_file path contents =
 (* How long a single cc run may take before it is killed.  A compiler
    driven into pathological behaviour by generated code (or a wedged
    distcc wrapper) must not hold a worker hostage: the job falls back to
-   the bytecode interpreter instead. *)
+   closures instead. *)
 let cc_timeout_seconds () =
   match Sys.getenv_opt "GSIM_CC_TIMEOUT" with
   | Some s -> ( match float_of_string_opt s with Some t when t > 0. -> t | _ -> 120.)

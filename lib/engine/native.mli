@@ -24,7 +24,7 @@
     - [GSIM_CC_TIMEOUT] caps one [cc] run in seconds (default 120).
       Past the deadline the compiler driver gets SIGTERM (which cc
       forwards to its cc1/as/ld children) then SIGKILL; the job falls
-      back to the bytecode interpreter with a one-line diagnostic;
+      back to closures with a one-line diagnostic;
     - [GSIM_NATIVE_CACHE_MB] bounds the on-disk object cache in MiB
       (default 512; 0 = unlimited).  After each fresh compile, cold
       digests (LRU by mtime; disk hits refresh recency) are evicted
@@ -68,8 +68,7 @@ val node_evaluator : unit_t -> Runtime.t -> int -> unit -> bool
 
 val run_step : unit_t -> Runtime.t -> int array -> unit -> int
 (** One step evaluating a dense run of node ids back-to-back inside C
-    (a single stub call), returning the changed count — the native
-    analogue of a fused bytecode segment. *)
+    (a single stub call), returning the changed count. *)
 
 type stats = {
   mutable compiles : int;

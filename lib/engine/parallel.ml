@@ -53,28 +53,21 @@ end
 type t = {
   rt : Runtime.t;
   threads : int;
-  (* slices.(level).(worker) = evaluator array (closure backend; empty
-     under bytecode) *)
-  slices : (unit -> bool) array array array;
-  (* sweep_slices.(level).(worker) = fused segment steps (bytecode
-     backend; empty under closures).  Each step returns its changed
-     count; only the single-threaded coordinator reads it — workers never
-     touch the shared counters. *)
-  sweep_slices : (unit -> int) array array array;
+  (* slices.(level).(worker) = realized plan steps (native runs and
+     closure runs).  Each step returns its changed count; only the
+     single-threaded coordinator reads it — workers never touch the shared
+     counters. *)
+  slices : (unit -> int) array array array;
   nlevels : int;
   write_commits : (unit -> bool) array;
-  reg_copies : (unit -> bool) array;
-  reg_sweep : (unit -> int) array;
-      (* singleton op_copy segment for narrow registers (bytecode backend);
-         runs in the coordinator's sequential commit phase *)
+  reg_commit : unit -> int;
+      (* latches every register; runs in the coordinator's sequential
+         commit phase *)
   resets : ((unit -> bool) * (unit -> bool) array) array;
   forcible : (int, unit) Hashtbl.t;
       (* non-input node ids declared forcible at build time *)
   counters : Counters.t;
   total_evals : int;
-  instrs_per_cycle : int;
-      (* static bytecode cost of one full sweep; the evaluators never touch
-         the (shared) counters, so the coordinator adds this once per cycle *)
   barrier : Barrier.t;
   stop : bool Atomic.t;
   mutable workers : unit Domain.t list;
@@ -125,121 +118,23 @@ let create ?(backend = Eval.default) ?(forcible = []) ~threads c =
     forcible;
   let is_forcible id = Hashtbl.mem fset id in
   let sel = Eval.select backend c in
-  let instrs_per_cycle = ref 0 in
-  let rt, slices, sweep_slices, reg_copies, reg_sweep =
-    match sel.Eval.effective with
-    | `Closures ->
-      let rt = Runtime.create c in
-      let copier (r : Circuit.register) =
-        let f = Runtime.reg_copier rt r in
-        if is_forcible r.Circuit.read then Runtime.guard rt r.Circuit.read f else f
-      in
-      ( rt,
-        Array.map
-          (fun bucket ->
-            let evals =
-              Array.of_list
-                (List.map
-                   (fun id ->
-                     fst (Eval.node_evaluator ~sel ~forcible:is_forcible
-                            rt (Circuit.node c id)))
-                   bucket)
-            in
-            Array.init threads (fun w -> split_slice evals threads w))
-          buckets,
-        [||],
-        registers |> List.map copier |> Array.of_list,
-        [||] )
-    | `Bytecode | `Native ->
-      (* Split each level's ids across workers first, then fuse each
-         worker's run: same-level nodes never consume each other, and
-         cross-level values are committed before the level barrier, so
-         every operand a segment (or native run) reads from the arena is
-         stable while it runs — exactly the access pattern of the closure
-         backend.  Each (level, worker) plan claims its own disjoint
-         arena-extension region, so workers never write a shared slot;
-         native functions only write their own node's slot and never
-         allocate, so they are safe from any domain. *)
-      let off = ref 0 in
-      let scratch_base = Circuit.max_id c in
-      let plans =
-        Array.map
-          (fun bucket ->
-            let ids = Array.of_list bucket in
-            Array.init threads (fun w ->
-                let pl = Eval.plan ~forcible:is_forcible sel c
-                    ~scratch_base:(scratch_base + !off)
-                    (split_slice ids threads w)
-                in
-                off := !off + Eval.plan_scratch pl;
-                pl))
-          buckets
-      in
-      let rt = Runtime.create ~extra_slots:!off c in
-      let sweep_slices =
-        Array.map
-          (Array.map (fun pl ->
-               let sweeps, ni = Eval.realize rt pl in
-               instrs_per_cycle := !instrs_per_cycle + ni;
-               sweeps))
-          plans
-      in
-      let narrow_regs, wide_regs =
-        List.partition
-          (fun (r : Circuit.register) ->
-            Bits.fits_int (Circuit.node c r.Circuit.read).Circuit.width
-            && Bits.fits_int (Circuit.node c r.Circuit.next).Circuit.width
-            && not (is_forcible r.Circuit.read))
-          registers
-      in
-      let reg_sweep =
-        match narrow_regs with
-        | [] -> [||]
-        | _ ->
-          let pairs =
-            Array.of_list
-              (List.map
-                 (fun (r : Circuit.register) -> (r.Circuit.next, r.Circuit.read))
-                 narrow_regs)
-          in
-          instrs_per_cycle := !instrs_per_cycle + Array.length pairs;
-          [| Bytecode.segment_evaluator rt (Bytecode.copy_segment pairs) |]
-      in
-      let copier (r : Circuit.register) =
-        let f = Runtime.reg_copier rt r in
-        if is_forcible r.Circuit.read then Runtime.guard rt r.Circuit.read f else f
-      in
-      ( rt, [||], sweep_slices,
-        wide_regs |> List.map copier |> Array.of_list,
-        reg_sweep )
+  let rt = Runtime.create c in
+  (* Split each level's ids across workers first, then plan each worker's
+     share: same-level nodes never consume each other, and cross-level
+     values are committed before the level barrier, so every operand a
+     step reads from the arena is stable while it runs.  Native functions
+     only write their own node's slot and never allocate, so they are
+     safe from any domain. *)
+  let slices =
+    Array.map
+      (fun bucket ->
+        let ids = Array.of_list bucket in
+        Array.init threads (fun w ->
+            Eval.realize rt
+              (Eval.plan ~forcible:is_forcible sel (split_slice ids threads w))))
+      buckets
   in
-  let write_commits =
-    Array.to_list (Circuit.memories c)
-    |> List.mapi (fun mi (m : Circuit.memory) ->
-           List.map (fun w -> Runtime.write_committer rt mi w) m.write_ports)
-    |> List.concat |> Array.of_list
-  in
-  let resets =
-    let groups = Hashtbl.create 8 in
-    List.iter
-      (fun (r : Circuit.register) ->
-        match r.reset with
-        | Some rst when rst.Circuit.slow_path ->
-          let s = rst.Circuit.reset_signal in
-          let applier = Runtime.reset_applier rt r in
-          let applier =
-            if is_forcible r.Circuit.read then Runtime.guard rt r.Circuit.read applier
-            else applier
-          in
-          Hashtbl.replace groups s
-            (applier :: (try Hashtbl.find groups s with Not_found -> []))
-        | Some _ | None -> ())
-      (Circuit.registers c);
-    Hashtbl.fold
-      (fun s appliers acc -> (Runtime.signal_is_set rt s, Array.of_list appliers) :: acc)
-      groups []
-    |> Array.of_list
-  in
+  let reg_commit = Runtime.reg_committer rt ~forcible:is_forcible registers in
   let counters = Counters.create () in
   counters.Counters.backend <- Eval.effective_string sel;
   counters.Counters.native_cache <- sel.Eval.cache;
@@ -248,16 +143,13 @@ let create ?(backend = Eval.default) ?(forcible = []) ~threads c =
       rt;
       threads;
       slices;
-      sweep_slices;
       nlevels = Array.length buckets;
-      write_commits;
-      reg_copies;
-      reg_sweep;
-      resets;
+      write_commits = Runtime.write_committers rt;
+      reg_commit;
+      resets = Runtime.reset_groups rt ~forcible:is_forcible;
       forcible = fset;
       counters;
       total_evals;
-      instrs_per_cycle = !instrs_per_cycle;
       barrier = Barrier.create threads;
       stop = Atomic.make false;
       workers = [];
@@ -279,24 +171,14 @@ let create ?(backend = Eval.default) ?(forcible = []) ~threads c =
         (* cycle start *)
         if Atomic.get t.stop then running := false
         else begin
-          (if Array.length t.slices > 0 then
-             Array.iter
-               (fun level ->
-                 let slice = level.(w) in
-                 for i = 0 to Array.length slice - 1 do
-                   ignore (slice.(i) ())
-                 done;
-                 next_sense ())
-               t.slices
-           else
-             Array.iter
-               (fun level ->
-                 let slice = level.(w) in
-                 for i = 0 to Array.length slice - 1 do
-                   ignore (slice.(i) ())
-                 done;
-                 next_sense ())
-               t.sweep_slices);
+          Array.iter
+            (fun level ->
+              let slice = level.(w) in
+              for i = 0 to Array.length slice - 1 do
+                ignore (slice.(i) ())
+              done;
+              next_sense ())
+            t.slices;
           next_sense () (* wait for the coordinator's commit *)
         end
       done
@@ -315,56 +197,30 @@ let coordinator_wait t =
 
 let step t =
   let ctr = t.counters in
-  if t.threads = 1 then begin
-    if Array.length t.slices > 0 then
-      Array.iter
-        (fun level ->
-          let slice = level.(0) in
-          for i = 0 to Array.length slice - 1 do
-            if slice.(i) () then ctr.Counters.changed <- ctr.Counters.changed + 1
-          done)
-        t.slices
-    else
-      Array.iter
-        (fun level ->
-          let slice = level.(0) in
-          for i = 0 to Array.length slice - 1 do
-            ctr.Counters.changed <- ctr.Counters.changed + slice.(i) ()
-          done)
-        t.sweep_slices
-  end
+  if t.threads = 1 then
+    Array.iter
+      (fun level ->
+        let slice = level.(0) in
+        for i = 0 to Array.length slice - 1 do
+          ctr.Counters.changed <- ctr.Counters.changed + slice.(i) ()
+        done)
+      t.slices
   else begin
     let next_sense () = coordinator_wait t in
     next_sense ();
     (* release workers into the cycle *)
-    if Array.length t.slices > 0 then
-      Array.iter
-        (fun level ->
-          let slice = level.(0) in
-          for i = 0 to Array.length slice - 1 do
-            ignore (slice.(i) ())
-          done;
-          next_sense ())
-        t.slices
-    else
-      Array.iter
-        (fun level ->
-          let slice = level.(0) in
-          for i = 0 to Array.length slice - 1 do
-            ignore (slice.(i) ())
-          done;
-          next_sense ())
-        t.sweep_slices
+    Array.iter
+      (fun level ->
+        let slice = level.(0) in
+        for i = 0 to Array.length slice - 1 do
+          ignore (slice.(i) ())
+        done;
+        next_sense ())
+      t.slices
   end;
   ctr.Counters.evals <- ctr.Counters.evals + t.total_evals;
-  ctr.Counters.instrs <- ctr.Counters.instrs + t.instrs_per_cycle;
   Array.iter (fun w -> ignore (w ())) t.write_commits;
-  for i = 0 to Array.length t.reg_copies - 1 do
-    if t.reg_copies.(i) () then ctr.Counters.reg_commits <- ctr.Counters.reg_commits + 1
-  done;
-  for i = 0 to Array.length t.reg_sweep - 1 do
-    ctr.Counters.reg_commits <- ctr.Counters.reg_commits + t.reg_sweep.(i) ()
-  done;
+  ctr.Counters.reg_commits <- ctr.Counters.reg_commits + t.reg_commit ();
   Array.iter
     (fun (test, appliers) ->
       ctr.Counters.reset_checks <- ctr.Counters.reset_checks + 1;

@@ -14,7 +14,7 @@ open Gsim_ir
 type t
 
 val create : ?backend:Eval.backend -> ?forcible:int list -> threads:int -> Circuit.t -> t
-(** [backend] defaults to {!Eval.default} ([`Bytecode]);
+(** [backend] defaults to {!Eval.default} ([`Auto]);
     [threads >= 1]; one means no worker domains (sequential).
     [forcible] declares fault-injection targets (see
     {!Full_cycle.create}). *)

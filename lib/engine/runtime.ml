@@ -52,13 +52,9 @@ let set_wide t id v =
     Bytes.set_int64_le wflat ((off + j) * 8) (Bits.limb64 v j)
   done
 
-let create ?(extra_slots = 0) c =
+let create c =
   let n = Circuit.max_id c in
-  (* [extra_slots] extends the narrow arena past the node ids: the bytecode
-     backend allocates its constants and expression stacks there so fused
-     programs address one flat array.  Nothing else ever touches indices
-     >= [n]. *)
-  let narrow = Array.make (n + extra_slots) 0 in
+  let narrow = Array.make n 0 in
   let wide = Array.make n (Bits.zero 1) in
   let is_wide = Array.make n false in
   Circuit.iter_nodes c (fun nd ->
@@ -619,6 +615,42 @@ let reg_copier t (r : Circuit.register) =
       end
   end
 
+(* Narrow registers latch in one loop over (next, read) slot pairs —
+   no per-register closure call.  Wide registers and forcible read slots
+   (whose latch must re-apply the override) keep guarded copiers. *)
+let reg_committer t ~forcible regs =
+  let narrow_regs, others =
+    List.partition
+      (fun (r : Circuit.register) ->
+        (not t.is_wide.(r.read)) && not (forcible r.Circuit.read))
+      regs
+  in
+  let copiers =
+    Array.of_list
+      (List.map
+         (fun (r : Circuit.register) ->
+           let f = reg_copier t r in
+           if forcible r.Circuit.read then guard t r.Circuit.read f else f)
+         others)
+  in
+  let next = Array.of_list (List.map (fun (r : Circuit.register) -> r.next) narrow_regs) in
+  let read = Array.of_list (List.map (fun (r : Circuit.register) -> r.read) narrow_regs) in
+  let narrow = t.narrow in
+  fun () ->
+    let n = ref 0 in
+    for i = 0 to Array.length next - 1 do
+      let v = Array.unsafe_get narrow (Array.unsafe_get next i) in
+      let rd = Array.unsafe_get read i in
+      if v <> Array.unsafe_get narrow rd then begin
+        Array.unsafe_set narrow rd v;
+        incr n
+      end
+    done;
+    for i = 0 to Array.length copiers - 1 do
+      if (Array.unsafe_get copiers i) () then incr n
+    done;
+    !n
+
 let reset_applier t (r : Circuit.register) =
   match r.reset with
   | None -> invalid_arg "Runtime.reset_applier: register has no reset"
@@ -708,3 +740,31 @@ let write_committer t mi (w : Circuit.write_port) =
       end
       else false
   end
+
+let write_committers t =
+  Array.to_list (Circuit.memories t.c)
+  |> List.mapi (fun mi (m : Circuit.memory) ->
+         List.map (fun w -> write_committer t mi w) m.write_ports)
+  |> List.concat |> Array.of_list
+
+(* Group slow-path resets by their signal so a design with one reset net
+   performs one check per cycle regardless of register count.  Appliers
+   for forcible read nodes are guarded so a stuck-at override survives a
+   reset. *)
+let reset_groups t ~forcible =
+  let groups = Hashtbl.create 8 in
+  List.iter
+    (fun (r : Circuit.register) ->
+      match r.reset with
+      | Some rst when rst.Circuit.slow_path ->
+        let s = rst.Circuit.reset_signal in
+        let applier = reset_applier t r in
+        let applier = if forcible r.read then guard t r.read applier else applier in
+        Hashtbl.replace groups s
+          (applier :: (try Hashtbl.find groups s with Not_found -> []))
+      | Some _ | None -> ())
+    (Circuit.registers t.c);
+  Hashtbl.fold
+    (fun s appliers acc -> (signal_is_set t s, Array.of_list appliers) :: acc)
+    groups []
+  |> Array.of_list

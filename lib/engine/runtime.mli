@@ -12,11 +12,7 @@ open Gsim_ir
 
 type t
 
-val create : ?extra_slots:int -> Circuit.t -> t
-(** [extra_slots] (default 0) extends the narrow value arena past the node
-    ids.  The bytecode backend places its pooled constants and expression
-    stacks there, so fused programs run over one flat array; nothing else
-    reads or writes those slots. *)
+val create : Circuit.t -> t
 
 val circuit : t -> Circuit.t
 
@@ -92,9 +88,9 @@ val guard : t -> int -> (unit -> bool) -> (unit -> bool)
 
 val narrow_values : t -> int array
 (** The raw narrow arena itself (indexed by node id), not a copy.  Engine
-    internals only: the {!Bytecode} backend reads and writes packed values
-    through it directly; everything else should go through {!peek} and the
-    compiled evaluators. *)
+    internals only: the {!Native} backend passes it to generated code,
+    which reads and writes packed values through it directly; everything
+    else should go through {!peek} and the compiled evaluators. *)
 
 val is_wide : t -> int -> bool
 (** Whether the node's value lives in the wide (boxed) arena. *)
@@ -120,9 +116,7 @@ val data_size_bytes : t -> int
 
 val mem_size_bytes : t -> int
 
-(** {1 Packed-value primitives}
-
-    Shared by the closure compiler below and the {!Bytecode} backend. *)
+(** {1 Packed-value primitives} *)
 
 val mask : int -> int
 (** [mask w] is the all-ones pattern of [w] bits, [1 <= w <= 62]. *)
@@ -140,6 +134,13 @@ val node_evaluator : t -> Circuit.node -> (unit -> bool)
 val reg_copier : t -> Circuit.register -> (unit -> bool)
 (** Latch: read-slot := next-slot; reports change. *)
 
+val reg_committer :
+  t -> forcible:(int -> bool) -> Circuit.register list -> unit -> int
+(** Latch every register in the list, returning how many changed.
+    Narrow registers whose read node is not [forcible] commit in one
+    plain loop over (next, read) slot pairs; wide and forcible ones go
+    through {!reg_copier} (guarded when forcible). *)
+
 val reset_applier : t -> Circuit.register -> (unit -> bool)
 (** Slow-path reset: read-slot := reset value; reports change. *)
 
@@ -149,3 +150,13 @@ val signal_is_set : t -> int -> (unit -> bool)
 val write_committer : t -> int -> Circuit.write_port -> (unit -> bool)
 (** [write_committer t mem port] commits the port if enabled; reports
     whether the memory contents changed. *)
+
+val write_committers : t -> (unit -> bool) array
+(** One {!write_committer} per memory write port, memories in order. *)
+
+val reset_groups :
+  t -> forcible:(int -> bool) -> ((unit -> bool) * (unit -> bool) array) array
+(** Slow-path resets grouped by reset signal: (signal test, per-register
+    {!reset_applier}s), so one check per signal per cycle suffices.
+    Appliers of [forcible] read nodes are guarded, so a stuck-at override
+    survives a reset. *)

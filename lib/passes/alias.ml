@@ -30,12 +30,20 @@ let run c =
     | Some e -> e
     | None -> Expr.var ~width:(Circuit.node c id).Circuit.width id
   in
+  for id = 0 to nmax - 1 do
+    if is_alias.(id) then ignore (resolve id)
+  done;
+  (* Ports and resets name nodes, not expressions: a port-referenced
+     alias whose chain ends in a constant must survive as a node (its own
+     expression folds to the constant below). *)
   let changed = ref 0 in
   for id = 0 to nmax - 1 do
-    if is_alias.(id) then begin
-      ignore (resolve id);
-      incr changed
-    end
+    if is_alias.(id) then
+      match target.(id) with
+      | Some { Expr.desc = Expr.Const _; _ } when protected.(id) ->
+        is_alias.(id) <- false;
+        target.(id) <- None
+      | Some _ | None -> incr changed
   done;
   if !changed > 0 then begin
     let subst ~width v =
@@ -55,8 +63,7 @@ let run c =
           if not (e' == e) then n.Circuit.expr <- Some e'
         | None -> ());
     (* Port and reset references are plain ids; only Var targets apply
-       (Const targets never reach here because port-protected constants
-       were excluded above). *)
+       (port-protected ids never resolve to a Const: see above). *)
     let fix id =
       if id < nmax && is_alias.(id) then begin
         match target.(id) with

@@ -194,6 +194,7 @@ let serve cfg =
     e *. float_of_int (Scheduler.queued sched) /. float_of_int (max 1 cfg.workers)
   in
   let retry_after () = Float.min 60. (Float.max 1. (backlog_estimate ())) in
+  let batch_gate = Mutex.create () in
   let overloaded () =
     (cfg.high_water > 0.
     && Scheduler.queued_at sched ~priority:1
@@ -724,8 +725,16 @@ let serve cfg =
             (match token with Some tok -> refuse_token tok resp | None -> ());
             respond resp
           in
-          (* Admission first: a resource bomb must be refused before it
-             touches the queue, the spool or a worker. *)
+          (* Engine options first (a peer naming a backend this build
+             lacks is refused with the valid names), then admission: a
+             resource bomb must be refused before it touches the queue,
+             the spool or a worker. *)
+          match Worker.config_error req with
+          | Some why ->
+            note tenant (fun s -> s.ts_shed <- s.ts_shed + 1);
+            logf "conn %d: refusing job for %s: %s" conn_id tenant why;
+            refuse (P.error_resp ~code:P.Protocol_violation why)
+          | None ->
           match admission_violation req with
           | Some why ->
             Atomic.incr over_budget;
@@ -736,8 +745,63 @@ let serve cfg =
             (* Brownout: past the high-water mark (or the backlog-seconds
                limit), shed new *batch* work with a retry-after hint and
                keep serving interactive traffic — graceful degradation
-               beats collapse. *)
-            if prio = P.Batch && overloaded () then begin
+               beats collapse.  For batch work the check and the enqueue
+               are one step under [batch_gate]: checked apart, concurrent
+               submitters all see the band below its mark and overfill the
+               queue, and interactive jobs are then refused queue-full. *)
+            let gated f = if prio = P.Batch then Mutex.protect batch_gate f else f () in
+            match
+              gated (fun () ->
+                  if prio = P.Batch && overloaded () then `Shed
+                  else begin
+                    let box = Waitbox.create () in
+                    let id = Atomic.fetch_and_add next_job 1 in
+                    let rel = P.request_deadline req in
+                    let deadline = if rel > 0. then Unix.gettimeofday () +. rel else 0. in
+                    (* Exactly one delivery per logical job, however many
+                       attempts raced: the first responder wins, stale
+                       attempts and the give-up path are silenced. *)
+                    let replied = Atomic.make false in
+                    let deliver resp =
+                      if not (Atomic.exchange replied true) then begin
+                        (match resp with
+                         | P.Error_resp e when e.P.ei_code = P.Deadline_exceeded ->
+                           Atomic.incr deadline_expired;
+                           note tenant (fun s ->
+                               s.ts_exp <- s.ts_exp + 1;
+                               s.ts_inflight <- s.ts_inflight - 1)
+                         | _ ->
+                           note tenant (fun s ->
+                               s.ts_done <- s.ts_done + 1;
+                               s.ts_inflight <- s.ts_inflight - 1));
+                        (match token with Some tok -> finish_token tok resp | None -> ());
+                        Waitbox.put box resp
+                      end
+                    in
+                    let job =
+                      Worker.make_job ~id ~priority:(priority_level prio) ~tenant ~deadline
+                        ~reply:deliver req
+                    in
+                    (* Persist batch requests before scheduling: from this
+                       instant a daemon crash leaves enough on disk for the
+                       next boot to finish the job.  Interactive jobs are
+                       cheap and their client retries, so they are not
+                       persisted. *)
+                    if prio = P.Batch then (
+                      try Store.write_atomic (request_path id) (P.encode_request req)
+                      with Sys_error m ->
+                        logf "conn %d: cannot persist job %d: %s" conn_id id m);
+                    (* In-flight is counted before the scheduler sees the
+                       job: a fast worker could otherwise deliver (and
+                       decrement) before this thread increments. *)
+                    note tenant (fun s -> s.ts_inflight <- s.ts_inflight + 1);
+                    `Submitted
+                      ( id,
+                        box,
+                        Scheduler.submit sched ~priority:job.Worker.priority ~tenant job )
+                  end)
+            with
+            | `Shed ->
               Atomic.incr shed;
               note tenant (fun s -> s.ts_shed <- s.ts_shed + 1);
               let ra = retry_after () in
@@ -749,48 +813,8 @@ let serve cfg =
                       "overloaded: %d batch job(s) queued, est. backlog %.0f s; retry later"
                       (Scheduler.queued_at sched ~priority:1)
                       (backlog_estimate ())))
-            end
-            else begin
-              let box = Waitbox.create () in
-              let id = Atomic.fetch_and_add next_job 1 in
-              let rel = P.request_deadline req in
-              let deadline = if rel > 0. then Unix.gettimeofday () +. rel else 0. in
-              (* Exactly one delivery per logical job, however many attempts
-                 raced: the first responder wins, stale attempts and the
-                 give-up path are silenced. *)
-              let replied = Atomic.make false in
-              let deliver resp =
-                if not (Atomic.exchange replied true) then begin
-                  (match resp with
-                   | P.Error_resp e when e.P.ei_code = P.Deadline_exceeded ->
-                     Atomic.incr deadline_expired;
-                     note tenant (fun s ->
-                         s.ts_exp <- s.ts_exp + 1;
-                         s.ts_inflight <- s.ts_inflight - 1)
-                   | _ ->
-                     note tenant (fun s ->
-                         s.ts_done <- s.ts_done + 1;
-                         s.ts_inflight <- s.ts_inflight - 1));
-                  (match token with Some tok -> finish_token tok resp | None -> ());
-                  Waitbox.put box resp
-                end
-              in
-              let job =
-                Worker.make_job ~id ~priority:(priority_level prio) ~tenant ~deadline
-                  ~reply:deliver req
-              in
-              (* Persist batch requests before scheduling: from this instant a
-                 daemon crash leaves enough on disk for the next boot to finish
-                 the job.  Interactive jobs are cheap and their client retries,
-                 so they are not persisted. *)
-              if prio = P.Batch then (
-                try Store.write_atomic (request_path id) (P.encode_request req)
-                with Sys_error m -> logf "conn %d: cannot persist job %d: %s" conn_id id m);
-              (* In-flight is counted before the scheduler sees the job:
-                 a fast worker could otherwise deliver (and decrement)
-                 before this thread increments. *)
-              note tenant (fun s -> s.ts_inflight <- s.ts_inflight + 1);
-              match Scheduler.submit sched ~priority:job.Worker.priority ~tenant job with
+            | `Submitted (id, box, outcome) -> (
+              match outcome with
               | Scheduler.Accepted ->
                 logf "conn %d: job %d queued (%s, tenant %s)" conn_id id
                   (P.priority_to_string prio) tenant;
@@ -815,8 +839,7 @@ let serve cfg =
                      (Printf.sprintf
                         "tenant %s has %d job(s) queued (quota %d); retry later" tenant
                         (Scheduler.queued_for sched tenant)
-                        cfg.tenant_quota))
-            end
+                        cfg.tenant_quota)))
       end
     in
     let rec loop () =

@@ -129,7 +129,7 @@ type engine_opts = {
 }
 
 let default_engine_opts =
-  { eo_engine = "gsim"; eo_backend = "bytecode"; eo_level = None;
+  { eo_engine = "gsim"; eo_backend = "closures"; eo_level = None;
     eo_max_supernode = 8; eo_threads = 1 }
 
 type sim_job = {

@@ -48,7 +48,7 @@ val priority_to_string : priority -> string
 
 type engine_opts = {
   eo_engine : string;        (** preset name, e.g. ["gsim"] *)
-  eo_backend : string;       (** ["bytecode"] or ["closures"] *)
+  eo_backend : string;       (** ["auto"], ["native"] or ["closures"] *)
   eo_level : string option;  (** optimization-level override *)
   eo_max_supernode : int;
   eo_threads : int;
@@ -94,7 +94,7 @@ type fuzz_job = {
   fj_cases : int;
   fj_from : int;  (** first case index of this shard *)
   fj_cycles : int;
-  fj_setups : string option;  (** comma-separated subset, e.g. ["gsim+bytecode"] *)
+  fj_setups : string option;  (** comma-separated subset, e.g. ["gsim+closures"] *)
   fj_token : string option;
   fj_tenant : string option;
   fj_deadline : float;

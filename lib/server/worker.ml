@@ -104,6 +104,19 @@ let config_of_opts (o : P.engine_opts) =
   Gsim.config_of_names ~engine:o.eo_engine ~threads:o.eo_threads ~level:o.eo_level
     ~max_supernode:o.eo_max_supernode ~backend:o.eo_backend
 
+let fuzz_setups = function
+  | None -> Fuzz.default_setups
+  | Some s -> List.map (fun name -> Fuzz.setup_of_name name) (String.split_on_char ',' s)
+
+let config_error req =
+  let check f = match f () with _ -> None | exception Failure m -> Some m in
+  match req with
+  | P.Sim (_, j) -> check (fun () -> config_of_opts j.P.sj_opts)
+  | P.Campaign (_, j) -> check (fun () -> config_of_opts j.P.cj_opts)
+  | P.Coverage (_, j) -> check (fun () -> config_of_opts j.P.vj_opts)
+  | P.Fuzz (_, j) -> check (fun () -> fuzz_setups j.P.fj_setups)
+  | P.Status | P.Shutdown -> None
+
 (* Two-level plan lookup.  The fast path keys on the digest of the raw
    design text so a repeat request skips even the frontend; a text miss
    falls back to the canonical circuit-hash key (catching, e.g., a
@@ -351,11 +364,7 @@ let run_campaign ctx _job (cj : P.campaign_job) =
 
 let run_fuzz ctx job (fj : P.fuzz_job) =
   let t0 = Unix.gettimeofday () in
-  let setups =
-    match fj.fj_setups with
-    | None -> Fuzz.default_setups
-    | Some s -> List.map (fun name -> Fuzz.setup_of_name name) (String.split_on_char ',' s)
-  in
+  let setups = fuzz_setups fj.fj_setups in
   let dir = job_dir ctx job "fuzz" in
   let campaign =
     {

@@ -64,6 +64,11 @@ type job = {
   mutable compile_seconds : float;
 }
 
+val config_error : Protocol.request -> string option
+(** Why a job's engine options (or fuzz setup names) name no valid
+    configuration — e.g. an unknown backend; the message lists the
+    accepted names.  [None] for valid jobs and control requests. *)
+
 val make_job :
   id:int ->
   priority:int ->

@@ -24,7 +24,7 @@ type culprit =
   | Inconclusive of string
 
 val culprit_token : culprit -> string
-(** Stable bucket key: ["pass:simplify"], ["backend:bytecode"],
+(** Stable bucket key: ["pass:simplify"], ["backend:native"],
     ["engine:gsim"] or ["unknown"]. *)
 
 val culprit_to_string : culprit -> string

@@ -8,7 +8,7 @@
     seed can be combined with {!merge}. *)
 
 type finding = {
-  f_subject : string;       (** setup name, e.g. ["gsim+bytecode"] *)
+  f_subject : string;       (** setup name, e.g. ["gsim+closures"] *)
   f_kind : string;          (** ["mismatch"] / ["crash"] / ["hang"] *)
   f_culprit : string;       (** {!Bisect.culprit_token} *)
   f_nodes : int;            (** shrunk circuit size *)

@@ -32,13 +32,14 @@ let setup_of_name ?level name =
         s_engine = engine;
         s_backend = b;
         s_level = Option.value level ~default:preset.Gsim.opt_level }
-    | None -> Printf.ksprintf failwith "fuzz: unknown backend in %S" name)
+    | None -> Printf.ksprintf failwith "fuzz: unknown backend in %S (%s)" name Eval.names)
   | _ -> Printf.ksprintf failwith "fuzz: bad setup name %S (want engine+backend)" name
 
-(* The native backend joins the sweep only when a C compiler is present
-   (two presets are enough: full-cycle covers the plan path, gsim the
-   per-node activity path).  Without [cc] the matrix shrinks cleanly
-   rather than filling the campaign with fallback-degraded subjects. *)
+(* Closures on every preset; native joins the sweep only when a C
+   compiler is present (two presets are enough: full-cycle covers the plan
+   path, gsim the per-node activity path).  Without [cc] the matrix
+   shrinks cleanly rather than filling the campaign with
+   fallback-degraded subjects. *)
 let default_setups =
   let make engine backend =
     let preset = preset_of_engine engine in
@@ -47,8 +48,8 @@ let default_setups =
       s_backend = backend;
       s_level = preset.Gsim.opt_level }
   in
-  List.concat_map
-    (fun engine -> List.map (make engine) [ `Bytecode; `Closures ])
+  List.map
+    (fun engine -> make engine `Closures)
     [ "verilator"; "arcilator"; "essent"; "gsim" ]
   @ (if Gsim_engine.Native.available () then
        [ make "verilator" `Native; make "gsim" `Native ]
@@ -190,22 +191,25 @@ let diagnose ~watchdog ~shrink_budget setup circuit steps failure =
         | None -> false
       with _ -> false)
   in
-  let alt_backend =
-    (* The bisection's alternate must dodge the suspect layer entirely,
-       so every compiled backend flips to closures. *)
-    match setup.s_backend with
-    | `Bytecode | `Native | `Auto -> `Closures
-    | `Closures -> `Bytecode
-  in
-  let alt_setup =
-    { setup with
-      s_backend = alt_backend;
-      s_name = Printf.sprintf "%s+%s" setup.s_engine (Eval.to_string alt_backend) }
+  let test_alt =
+    (* The bisection's alternate flips closures <-> native (auto runs
+       fuzz-sized circuits through closures).  Without a C compiler there
+       is no alternate, and backend bisection is skipped. *)
+    if not (Gsim_engine.Native.available ()) then None
+    else
+      let alt_backend =
+        match setup.s_backend with `Native -> `Closures | `Closures | `Auto -> `Native
+      in
+      Some
+        (test_with
+           { setup with
+             s_backend = alt_backend;
+             s_name = Printf.sprintf "%s+%s" setup.s_engine (Eval.to_string alt_backend) })
   in
   let culprit =
     Bisect.run ~level:setup.s_level ~engine_name:setup.s_engine
       ~backend_name:(Eval.to_string setup.s_backend)
-      ~test_alt:(test_with alt_setup) ~test:(test_with setup) sh.Shrink.circuit
+      ?test_alt ~test:(test_with setup) sh.Shrink.circuit
   in
   { d_circuit = sh.Shrink.circuit;
     d_steps = sh.Shrink.steps;

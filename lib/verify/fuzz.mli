@@ -25,10 +25,11 @@ type setup = {
 }
 
 val default_setups : setup list
-(** All four presets x both backends (8 subjects). *)
+(** All four presets on closures, plus verilator and gsim on native when
+    a C compiler is available (4 or 6 subjects). *)
 
 val setup_of_name : ?level:Gsim_passes.Pipeline.level -> string -> setup
-(** Parse ["gsim+bytecode"]; level defaults to the preset's. *)
+(** Parse ["gsim+closures"]; level defaults to the preset's. *)
 
 val subject_of_setup :
   ?level:Gsim_passes.Pipeline.level -> ?forcible:int list -> setup -> Oracle.subject

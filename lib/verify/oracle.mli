@@ -1,7 +1,7 @@
 (** The single differential-checking code path.
 
     Every equivalence check in the project — the fuzzer, the torture
-    tests, the bytecode/closure comparison — runs a circuit and a
+    tests, the closure/native comparison — runs a circuit and a
     stimulus through a list of {e subjects} (engine configurations) in
     lockstep against the {!Gsim_ir.Reference} interpreter and reports the
     first divergence per subject:

@@ -16,7 +16,7 @@ type act =
 type t = {
   seed : int;
   case : int;
-  subject : string;          (* setup name, e.g. "gsim+bytecode" *)
+  subject : string;          (* setup name, e.g. "gsim+closures" *)
   level : string;
   kind : string;             (* mismatch | crash | hang *)
   at_cycle : int option;

@@ -15,6 +15,7 @@ module Full_cycle = Gsim_engine.Full_cycle
 module Activity = Gsim_engine.Activity
 module Parallel = Gsim_engine.Parallel
 module Repcut = Gsim_engine.Repcut
+module Runtime = Gsim_engine.Runtime
 
 let b ~w n = Bits.of_int ~width:w n
 
@@ -305,6 +306,145 @@ let test_parallel_levels () =
   (* destroy is idempotent *)
   Parallel.destroy t
 
+(* --- SWAR popcount (Reduce_xor on packed values) ------------------------ *)
+
+let naive_popcount n =
+  let rec go acc n = if n = 0 then acc else go (acc + (n land 1)) (n lsr 1) in
+  go 0 n
+
+let test_popcount () =
+  let check v =
+    Alcotest.(check int)
+      (Printf.sprintf "popcount %d" v)
+      (naive_popcount v) (Runtime.popcount_int v)
+  in
+  List.iter check [ 0; 1; 2; 3; 0x55; 0xAA; (1 lsl 62) - 1; 1 lsl 61; max_int ];
+  let st = Random.State.make [| 4242 |] in
+  for _ = 1 to 1000 do
+    check (Int64.to_int (Random.State.int64 st (Int64.shift_left 1L 62)))
+  done
+
+(* --- Runtime commit paths shared by the engines --------------------------- *)
+
+let bits = Alcotest.testable Bits.pp Bits.equal
+
+(* Two plain narrow registers, one forcible narrow register and one wide
+   register, all with a slow-path reset to 3, plus a 4-word memory with
+   one write port: covers the (next, read) slot-pair loop, the wide and
+   guarded copiers, the grouped reset appliers and the write committers. *)
+let latch_circuit () =
+  let c = Circuit.create ~name:"latch" () in
+  let x = Circuit.add_input c ~name:"x" ~width:8 in
+  let y = Circuit.add_input c ~name:"y" ~width:100 in
+  let rst = Circuit.add_input c ~name:"rst" ~width:1 in
+  let we = Circuit.add_input c ~name:"we" ~width:1 in
+  let wa = Circuit.add_input c ~name:"wa" ~width:2 in
+  let vx = Expr.var ~width:8 x.Circuit.id in
+  let reg name ~w next =
+    let r =
+      Circuit.add_register c ~name ~width:w ~init:(Bits.zero w)
+        ~reset:(rst.Circuit.id, b ~w 3) ()
+    in
+    Circuit.set_next c r next;
+    Circuit.mark_output c r.Circuit.read;
+    r
+  in
+  let ra = reg "a" ~w:8 vx in
+  let rb =
+    reg "b" ~w:8
+      (Expr.unop (Expr.Extract (7, 0)) (Expr.binop Expr.Add vx (Expr.of_int ~width:8 1)))
+  in
+  let rf = reg "f" ~w:8 vx in
+  let rw = reg "w" ~w:100 (Expr.var ~width:100 y.Circuit.id) in
+  let mem = Circuit.add_memory c ~name:"m" ~width:8 ~depth:4 in
+  Circuit.add_write_port c ~mem ~addr:wa.Circuit.id ~data:x.Circuit.id ~en:we.Circuit.id;
+  let stripped = Gsim_passes.Reset_opt.pass.Gsim_passes.Pass.run c in
+  Alcotest.(check int) "every reset on the slow path" 4 stripped;
+  (c, (x.Circuit.id, y.Circuit.id, rst.Circuit.id, we.Circuit.id, wa.Circuit.id),
+   (ra, rb, rf, rw), mem)
+
+(* Evaluate every register's next node, so the committers see fresh
+   next slots. *)
+let eval_nexts rt c =
+  let steps =
+    List.map
+      (fun (r : Circuit.register) -> Runtime.node_evaluator rt (Circuit.node c r.Circuit.next))
+      (Circuit.registers c)
+  in
+  fun () -> List.iter (fun f -> ignore (f ())) steps
+
+let test_reg_committer () =
+  let c, (x, y, _, _, _), (ra, rb, rf, rw), _ = latch_circuit () in
+  let rt = Runtime.create c in
+  let eval = eval_nexts rt c in
+  let commit =
+    Runtime.reg_committer rt ~forcible:(fun id -> id = rf.Circuit.read) (Circuit.registers c)
+  in
+  let peek (r : Circuit.register) = Runtime.peek rt r.Circuit.read in
+  let yv = Bits.random (Random.State.make [| 5 |]) ~width:100 in
+  ignore (Runtime.poke rt x (b ~w:8 5));
+  ignore (Runtime.poke rt y yv);
+  ignore (Runtime.force rt rf.Circuit.read (b ~w:8 0xAA));
+  eval ();
+  Alcotest.(check int) "narrow and wide latch, forced one holds" 3 (commit ());
+  Alcotest.check bits "a" (b ~w:8 5) (peek ra);
+  Alcotest.check bits "b" (b ~w:8 6) (peek rb);
+  Alcotest.check bits "w" yv (peek rw);
+  Alcotest.check bits "forced f" (b ~w:8 0xAA) (peek rf);
+  Alcotest.(check int) "nothing new to latch" 0 (commit ());
+  ignore (Runtime.release rt rf.Circuit.read);
+  Alcotest.(check int) "released register latches" 1 (commit ());
+  Alcotest.check bits "released f" (b ~w:8 5) (peek rf);
+  ignore (Runtime.poke rt x (b ~w:8 0xFF));
+  eval ();
+  Alcotest.(check int) "narrow registers only" 3 (commit ());
+  Alcotest.check bits "b wraps" (b ~w:8 0) (peek rb)
+
+let test_reset_groups () =
+  let c, (x, y, rst, _, _), (ra, rb, rf, rw), _ = latch_circuit () in
+  let rt = Runtime.create c in
+  let eval = eval_nexts rt c in
+  let commit = Runtime.reg_committer rt ~forcible:(fun _ -> false) (Circuit.registers c) in
+  let groups = Runtime.reset_groups rt ~forcible:(fun id -> id = rf.Circuit.read) in
+  Alcotest.(check int) "one group per reset signal" 1 (Array.length groups);
+  let signal, appliers = groups.(0) in
+  Alcotest.(check int) "one applier per register" 4 (Array.length appliers);
+  let apply () = Array.fold_left (fun n f -> if f () then n + 1 else n) 0 appliers in
+  ignore (Runtime.poke rt x (b ~w:8 9));
+  ignore (Runtime.poke rt y (b ~w:100 9));
+  eval ();
+  ignore (commit ());
+  Alcotest.(check bool) "reset low" false (signal ());
+  ignore (Runtime.poke rt rst (b ~w:1 1));
+  Alcotest.(check bool) "reset high" true (signal ());
+  ignore (Runtime.force rt rf.Circuit.read (b ~w:8 0xAA));
+  Alcotest.(check int) "unforced registers reset" 3 (apply ());
+  List.iter
+    (fun (name, (r : Circuit.register), w) ->
+      Alcotest.check bits name (b ~w 3) (Runtime.peek rt r.Circuit.read))
+    [ ("a", ra, 8); ("b", rb, 8); ("w", rw, 100) ];
+  Alcotest.check bits "override survives the reset" (b ~w:8 0xAA)
+    (Runtime.peek rt rf.Circuit.read);
+  Alcotest.(check int) "reset is idempotent" 0 (apply ())
+
+let test_write_committers () =
+  let c, (x, _, _, we, wa), _, mem = latch_circuit () in
+  let rt = Runtime.create c in
+  let writes = Runtime.write_committers rt in
+  Alcotest.(check int) "one committer per write port" 1 (Array.length writes);
+  let write = writes.(0) in
+  Runtime.set_mem_tracking rt true;
+  ignore (Runtime.poke rt x (b ~w:8 7));
+  ignore (Runtime.poke rt wa (b ~w:2 2));
+  Alcotest.(check bool) "disabled port writes nothing" false (write ());
+  ignore (Runtime.poke rt we (b ~w:1 1));
+  Alcotest.(check bool) "enabled port writes" true (write ());
+  Alcotest.check bits "word 2" (b ~w:8 7) (Runtime.read_mem rt mem 2);
+  Alcotest.check bits "word 1 untouched" (b ~w:8 0) (Runtime.read_mem rt mem 1);
+  Alcotest.(check bool) "same value is no change" false (write ());
+  Alcotest.(check (list (pair int (array int))))
+    "store recorded as dirty" [ (mem, [| 2 |]) ] (Runtime.take_dirty_mem rt)
+
 let () =
   Alcotest.run "engine"
     [
@@ -326,5 +466,12 @@ let () =
           Alcotest.test_case "counters clear" `Quick test_counters_cleared;
           Alcotest.test_case "parallel levels/destroy" `Quick test_parallel_levels;
           Alcotest.test_case "repcut replication" `Quick test_repcut_replication;
+        ] );
+      ("popcount", [ Alcotest.test_case "swar vs naive" `Quick test_popcount ]);
+      ( "runtime",
+        [
+          Alcotest.test_case "register commit loop" `Quick test_reg_committer;
+          Alcotest.test_case "reset groups keep overrides" `Quick test_reset_groups;
+          Alcotest.test_case "write committers" `Quick test_write_committers;
         ] );
     ]

@@ -273,7 +273,7 @@ let wake_engines =
             let t = Parallel.create ~backend ~threads:2 c in
             (Parallel.sim t, fun () -> Parallel.destroy t) );
       ])
-    [ `Bytecode; `Closures ]
+    ([ `Closures ] @ if Gsim_engine.Native.available () then [ `Native ] else [])
 
 let test_write_reg_wake () =
   for seed = 0 to 7 do

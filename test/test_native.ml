@@ -1,11 +1,11 @@
-(* Native (AOT-compiled C) backend: emitted code must be bit-identical to
-   the interpreted backends on every engine that can select it, over
-   hand-written signed div/rem corners, wide-limb mixes, and the same
-   120-circuit torture sweep the bytecode backend passes.  Also pins the
-   .so cache behaviour (miss on first compile, hit on reuse,
-   invalidation on circuit-hash change), the missing-compiler fallback
-   ladder, the auto heuristic, and force/release guarded-slot semantics
-   under native evaluation. *)
+(* Evaluation backends: closures and native (AOT-compiled C) must be
+   bit-identical to the reference interpreter on every engine that can
+   select them, over hand-written signed div/rem corners, a 120-circuit
+   torture sweep, a 60-circuit force/release torture and coverage
+   databases.  Without a C compiler the closure halves still run.  Also
+   pins the .so cache behaviour (miss on first compile, hit on reuse,
+   invalidation on circuit-hash change), the missing-compiler fallback,
+   and the auto heuristic. *)
 
 module Bits = Gsim_bits.Bits
 module Expr = Gsim_ir.Expr
@@ -22,7 +22,11 @@ module Activity = Gsim_engine.Activity
 module Parallel = Gsim_engine.Parallel
 module Emit_c = Gsim_emit.Emit_c
 module Collect = Gsim_coverage.Collect
+module Db = Gsim_coverage.Db
 module Oracle = Gsim_verify.Oracle
+module Designs = Gsim_designs.Designs
+module Stu_core = Gsim_designs.Stu_core
+module Gsim = Gsim_core.Gsim
 
 let b ~w n = Bits.of_int ~width:w n
 
@@ -40,6 +44,9 @@ let have_cc = Native.available ()
 
 let skip_without_cc () =
   if not have_cc then Alcotest.skip ()
+
+(* The backends under test: closures always, native when cc works. *)
+let backends = `Closures :: (if have_cc then [ `Native ] else [])
 
 (* --- signed div/rem corners ------------------------------------------- *)
 
@@ -61,7 +68,6 @@ let divrem_corners w =
   [ 0; 1; m1; minv; minv lor 1; m1 lxor minv ]
 
 let test_signed_divrem ~w () =
-  skip_without_cc ();
   let c, a, d = divrem_circuit ~w in
   let corners = divrem_corners w in
   let stimulus =
@@ -70,12 +76,16 @@ let test_signed_divrem ~w () =
   in
   let observe = List.map (fun (n : Circuit.node) -> n.Circuit.id) (Circuit.outputs c) in
   let expected = Sim.trace (Sim.of_reference (Reference.create c)) ~observe ~stimulus in
-  let t = Full_cycle.create ~backend:`Native c in
-  Alcotest.(check string)
-    "native actually ran" "native" (Full_cycle.counters t).Counters.backend;
-  let got = Sim.trace (Full_cycle.sim t) ~observe ~stimulus in
-  if not (Sim.equal_traces expected got) then
-    Alcotest.failf "signed div/rem (w=%d) diverges under native" w
+  List.iter
+    (fun backend ->
+      let name = Eval.to_string backend in
+      let t = Full_cycle.create ~backend c in
+      Alcotest.(check string)
+        (name ^ " actually ran") name (Full_cycle.counters t).Counters.backend;
+      let got = Sim.trace (Full_cycle.sim t) ~observe ~stimulus in
+      if not (Sim.equal_traces expected got) then
+        Alcotest.failf "signed div/rem (w=%d) diverges under %s" w name)
+    backends
 
 (* --- differential torture: closures vs native ------------------------- *)
 
@@ -109,8 +119,7 @@ let oracle_subjects backend makes =
         build = make })
     makes
 
-(* Same seeds and generator parameters as test_bytecode's torture: every
-   4th seed mixes wide (>62-bit) nodes in, exercising the per-node
+(* Every 4th seed mixes wide (>62-bit) nodes in, exercising the per-node
    closure fallback interleaved with native runs. *)
 let torture_one ~seed ~with_parallel =
   let st = Random.State.make [| seed; 3111 |] in
@@ -130,14 +139,13 @@ let torture_one ~seed ~with_parallel =
       (engines backend
       @ if with_parallel then [ ("parallel2", parallel2 backend) ] else [])
   in
-  let outcomes =
-    Oracle.run ~observe c steps (subjects `Closures @ subjects `Native)
-  in
+  let outcomes = Oracle.run ~observe c steps (List.concat_map subjects backends) in
   (match Oracle.first_failure outcomes with
    | Some (s, f) ->
      Alcotest.failf "seed %d: %s: %s" seed s (Oracle.failure_to_string f)
    | None -> ());
   (* The [changed] counters must also be backend-independent. *)
+  if have_cc then
   let changed name =
     match
       List.find_opt (fun (o : Oracle.outcome) -> o.Oracle.o_subject = name) outcomes
@@ -155,18 +163,28 @@ let torture_one ~seed ~with_parallel =
     @ if with_parallel then [ ("parallel2", parallel2 `Closures) ] else [])
 
 let test_torture () =
-  skip_without_cc ();
   for seed = 0 to 119 do
     torture_one ~seed ~with_parallel:(seed mod 12 = 0)
   done
 
-(* --- force/release under native --------------------------------------- *)
+(* --- differential force/release torture (fault-injection layer) -------- *)
 
+(* Random force/release schedules over random circuits must leave every
+   engine x backend combination bit-identical to the reference
+   interpreter — the soundness property the fault campaign stands on.
+   Targets are declared forcible at build time, so under native they are
+   demoted out of native runs into guarded closures. *)
 let force_engines backend targets :
     (string * (Circuit.t -> Sim.t * (unit -> unit))) list =
   [
     ( "full_cycle",
       fun c -> (Full_cycle.sim (Full_cycle.create ~backend ~forcible:targets c), fun () -> ()) );
+    ( "essent_mffc",
+      fun c ->
+        let p = Partition.mffc c ~max_size:12 in
+        ( Activity.sim ~name:"essent_mffc"
+            (Activity.create ~config:Activity.essent_config ~backend ~forcible:targets c p),
+          fun () -> () ) );
     ( "gsim",
       fun c ->
         let p = Partition.gsim c ~max_size:24 in
@@ -230,7 +248,11 @@ let torture_force_one ~seed =
               schedule.(i);
         })
   in
-  let subjects = oracle_subjects `Native (force_engines `Native targets) in
+  let subjects =
+    List.concat_map
+      (fun backend -> oracle_subjects backend (force_engines backend targets))
+      backends
+  in
   match Oracle.first_failure (Oracle.run ~observe c steps subjects) with
   | Some (s, f) ->
     Alcotest.failf "seed %d: %s (targets %s): forced run diverges from reference: %s"
@@ -240,9 +262,27 @@ let torture_force_one ~seed =
   | None -> ()
 
 let test_force_torture () =
-  skip_without_cc ();
-  for seed = 0 to 29 do
+  for seed = 0 to 59 do
     torture_force_one ~seed
+  done
+
+(* --- coverage databases must not depend on the backend ---------------- *)
+
+let test_coverage_identical () =
+  skip_without_cc ();
+  for seed = 0 to 9 do
+    let st = Random.State.make [| seed; 5150 |] in
+    let c = Rand_circuit.generate st Rand_circuit.default_config in
+    let stimulus = Rand_circuit.random_stimulus st c ~cycles:20 in
+    let observe = Collect.default_observed c in
+    let db_of backend =
+      let sim = Full_cycle.sim (Full_cycle.create ~backend c) in
+      let coll, wrapped = Collect.create sim in
+      ignore (Sim.trace wrapped ~observe ~stimulus);
+      Collect.db coll
+    in
+    if not (Db.equal (db_of `Closures) (db_of `Native)) then
+      Alcotest.failf "seed %d: coverage db differs between backends" seed
   done
 
 (* --- .so cache: miss, hit, invalidation on hash change ----------------- *)
@@ -305,9 +345,7 @@ let test_fallback_no_compiler () =
          correctly. *)
       let t = Full_cycle.create ~backend:`Native c in
       let ct = Full_cycle.counters t in
-      Alcotest.(check bool)
-        "fell back to an interpreted backend" true
-        (ct.Counters.backend = "bytecode" || ct.Counters.backend = "closures");
+      Alcotest.(check string) "fell back to closures" "closures" ct.Counters.backend;
       Alcotest.(check string) "no cache traffic" "" ct.Counters.native_cache;
       let x = (Option.get (Circuit.find_node c "x")).Circuit.id in
       let n = (Option.get (Circuit.find_node c "n")).Circuit.id in
@@ -321,22 +359,50 @@ let test_fallback_no_compiler () =
 
 (* --- auto heuristic ----------------------------------------------------- *)
 
+let optimized_size config (d : Designs.design) =
+  let core = d.Designs.build () in
+  let plan = Gsim.Compile.prepare config (Gsim.Compile.of_circuit core.Stu_core.circuit) in
+  Eval.circuit_size (Gsim.Compile.plan_circuit plan)
+
 let test_auto_heuristic () =
-  (* Small circuit: auto stays interpreted (bytecode) even with a
-     compiler present — a cc run would cost more than it returns. *)
+  (* Small circuit: auto stays on closures even with a compiler present —
+     a cc run would cost more than it returns. *)
   let small = cache_circuit 3001 in
   let sel = Eval.select `Auto small in
-  Alcotest.(check string) "small goes bytecode" "bytecode" (Eval.effective_string sel);
+  Alcotest.(check string) "small goes closures" "closures" (Eval.effective_string sel);
+  (* stuCore runs the fault campaigns, which build thousands of
+     short-lived engines: it must stay interpreted.  The unoptimized
+     circuit bounds every preset from above. *)
+  let stu = (Designs.stu_core.Designs.build ()).Stu_core.circuit in
+  let stu_size = Eval.circuit_size stu in
+  Alcotest.(check bool)
+    (Printf.sprintf "stuCore size %d below %d" stu_size Eval.native_threshold)
+    true (stu_size < Eval.native_threshold);
+  Alcotest.(check string) "stuCore goes closures" "closures"
+    (Eval.effective_string (Eval.select `Auto stu));
+  (* The big cores must go native.  The gsim preset optimizes hardest, so
+     its circuits bound every preset from below; XiangShan is checked on
+     the faster-to-prepare verilator preset (it is bigger than BOOM on
+     any preset). *)
+  List.iter
+    (fun (config, (d : Designs.design)) ->
+      let size = optimized_size config d in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s size %d reaches %d" d.Designs.design_name size
+           Eval.native_threshold)
+        true (size >= Eval.native_threshold))
+    [ (Gsim.gsim, Designs.rocket_like); (Gsim.gsim, Designs.boom_like);
+      (Gsim.verilator (), Designs.xiangshan_like) ];
   (* Big narrow circuit: auto goes native when a compiler is present. *)
   let st = Random.State.make [| 77; 3111 |] in
   let big =
     Rand_circuit.generate st
-      { Rand_circuit.default_config with Rand_circuit.logic_nodes = 400; max_width = 32 }
+      { Rand_circuit.default_config with Rand_circuit.logic_nodes = 800; max_width = 32 }
   in
-  let est = Eval.estimate_instrs big in
+  let size = Eval.circuit_size big in
   Alcotest.(check bool)
-    (Printf.sprintf "estimate %d crosses the native threshold" est)
-    true (est >= 512);
+    (Printf.sprintf "size %d crosses the native threshold" size)
+    true (size >= Eval.native_threshold);
   let sel = Eval.select `Auto big in
   if have_cc then
     Alcotest.(check string) "big goes native" "native" (Eval.effective_string sel)
@@ -381,7 +447,8 @@ let () =
       ( "differential",
         [
           Alcotest.test_case "torture 120 random circuits" `Slow test_torture;
-          Alcotest.test_case "force/release torture 30 circuits" `Slow test_force_torture;
+          Alcotest.test_case "force/release torture 60 circuits" `Slow test_force_torture;
+          Alcotest.test_case "coverage identical" `Quick test_coverage_identical;
         ] );
       ( "cache",
         [ Alcotest.test_case "miss, hit, invalidation" `Quick test_cache_hit_and_invalidation ] );

@@ -226,7 +226,7 @@ let local_outputs cycles =
   let source = Compile.source_of_string ~filename:"gray.fir" gray_fir in
   let config =
     Gsim.config_of_names ~engine:"gsim" ~threads:1 ~level:None ~max_supernode:0
-      ~backend:"bytecode"
+      ~backend:"closures"
   in
   let compiled = Compile.realize (Compile.prepare config source) in
   let sim = compiled.Gsim.sim in

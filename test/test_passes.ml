@@ -43,6 +43,33 @@ let test_alias_elimination () =
    | Some e -> Alcotest.(check (list int)) "chain collapsed" [ x.Circuit.id ] (Expr.vars e)
    | None -> Alcotest.fail "missing expr")
 
+(* A port-referenced alias whose chain ends in an unprotected constant
+   (w_en = a, a = b, b = const) must survive as a node: deleting it left
+   the write port dangling, and the next dce raised on the missing id. *)
+let test_alias_port_to_constant () =
+  let c = Circuit.create () in
+  let addr = Circuit.add_input c ~name:"addr" ~width:4 in
+  let data = Circuit.add_input c ~name:"data" ~width:8 in
+  let bnode = Circuit.add_logic c ~name:"b" (Expr.of_int ~width:1 1) in
+  let anode = Circuit.add_logic c ~name:"a" (Expr.var ~width:1 bnode.Circuit.id) in
+  let mem = Circuit.add_memory c ~name:"m" ~width:8 ~depth:16 in
+  let rdata = Circuit.add_read_port c ~mem ~name:"rdata" ~addr:addr.Circuit.id () in
+  Circuit.add_write_port c ~mem ~addr:addr.Circuit.id ~data:data.Circuit.id
+    ~en:anode.Circuit.id;
+  Circuit.mark_output c rdata.Circuit.id;
+  let original = Circuit.copy c in
+  ignore (Pipeline.optimize ~level:Pipeline.O3 c);
+  Circuit.validate c;
+  Alcotest.(check bool) "write port kept" true
+    ((Circuit.memory c mem).Circuit.write_ports <> []);
+  let stimulus =
+    Array.init 6 (fun i -> [ (addr.Circuit.id, b ~w:4 (i mod 3)); (data.Circuit.id, b ~w:8 (i + 5)) ])
+  in
+  let observe = [ rdata.Circuit.id ] in
+  let trace c = Sim.trace (Sim.of_reference (Reference.create c)) ~observe ~stimulus in
+  Alcotest.(check bool) "same trace after O3" true
+    (Sim.equal_traces (trace original) (trace c))
+
 let test_dce_unused_register () =
   (* A self-updating register nobody reads must disappear (paper Fig. 2,
      "unused registers"). *)
@@ -380,6 +407,7 @@ let main_suites =
       ( "unit",
         [
           Alcotest.test_case "alias elimination" `Quick test_alias_elimination;
+          Alcotest.test_case "alias port to constant" `Quick test_alias_port_to_constant;
           Alcotest.test_case "dce unused register" `Quick test_dce_unused_register;
           Alcotest.test_case "dce keeps memory" `Quick test_dce_keeps_memory_machinery;
           Alcotest.test_case "dce drops unread writes" `Quick

@@ -394,7 +394,7 @@ let test_resume_matrix () =
   let stim = Rand_circuit.random_stimulus st circuit ~cycles:120 in
   let stimulus c = if c < Array.length stim then stim.(c) else [] in
   let backends =
-    [ `Closures; `Bytecode ] @ (if Native.available () then [ `Native ] else [])
+    [ `Closures ] @ (if Native.available () then [ `Native ] else [])
   in
   (* Rotate the keyframe cadence across matrix cells: the default chain,
      all-full generations (no deltas), and a keyframe after every delta —

@@ -130,7 +130,7 @@ let sample_requests =
     P.Fuzz
       ( P.Batch,
         { P.fj_seed = 4; fj_cases = 25; fj_from = 25; fj_cycles = 64;
-          fj_setups = Some "gsim+bytecode"; fj_token = None; fj_tenant = Some "ci";
+          fj_setups = Some "gsim+closures"; fj_token = None; fj_tenant = Some "ci";
           fj_deadline = 0. } );
     P.Coverage
       ( P.Interactive,
@@ -301,7 +301,7 @@ let test_plan_cache_disabled () =
 
 let gsim_config () =
   Gsim.config_of_names ~engine:"gsim" ~threads:1 ~level:None ~max_supernode:0
-    ~backend:"bytecode"
+    ~backend:"closures"
 
 let run_outputs compiled cycles pokes =
   let sim = compiled.Gsim.sim in
@@ -613,6 +613,46 @@ let test_daemon_bad_job () =
    | _ -> Alcotest.fail "status after failure");
   stop_daemon d
 
+(* A peer still naming the retired bytecode backend (in engine options or
+   in fuzz setup names) is refused before queueing, with a structured
+   code and the list of valid backends; the daemon keeps serving. *)
+let test_daemon_refuses_unknown_backend () =
+  let ((address, _, _, _) as d) = start_daemon () in
+  let call req = Client.with_connection address (fun c -> Client.call c req) in
+  let sim backend =
+    P.Sim
+      ( P.Interactive,
+        { P.sj_filename = "gray.fir"; sj_design = gray_fir;
+          sj_opts = { P.default_engine_opts with P.eo_backend = backend }; sj_cycles = 5;
+          sj_pokes = [ "en=1" ]; sj_token = None; sj_tenant = None; sj_deadline = 0. } )
+  in
+  let fuzz =
+    P.Fuzz
+      ( P.Batch,
+        { P.fj_seed = 1; fj_cases = 1; fj_from = 0; fj_cycles = 8;
+          fj_setups = Some "gsim+bytecode"; fj_token = None; fj_tenant = None;
+          fj_deadline = 0. } )
+  in
+  List.iter
+    (fun (what, req) ->
+      match call req with
+      | P.Error_resp e ->
+        Alcotest.(check string)
+          (what ^ ": structured code") "protocol"
+          (P.error_code_to_string e.P.ei_code);
+        Alcotest.(check bool)
+          (what ^ ": lists the valid backends: " ^ e.P.ei_message) true
+          (contains e.P.ei_message "auto, native, or closures")
+      | _ -> Alcotest.failf "%s: a bytecode job must be refused" what)
+    [ ("sim", sim "bytecode"); ("fuzz", fuzz) ];
+  (match call (sim "closures") with
+   | P.Sim_done r -> Alcotest.(check int) "valid job still runs" 5 r.P.sr_cycles
+   | _ -> Alcotest.fail "closures job failed after the refusals");
+  (match call P.Status with
+   | P.Status_ok s -> Alcotest.(check int) "refused jobs never ran" 1 s.P.st_completed
+   | _ -> Alcotest.fail "status failed");
+  stop_daemon d
+
 (* --- daemon restart: persisted batch jobs are re-admitted ----------------- *)
 
 let test_daemon_restart_readmits () =
@@ -822,6 +862,8 @@ let () =
             test_daemon_concurrent_clients;
           Alcotest.test_case "bad job is an error, not a crash" `Quick
             test_daemon_bad_job;
+          Alcotest.test_case "retired backend refused with valid names" `Quick
+            test_daemon_refuses_unknown_backend;
           Alcotest.test_case "restart re-admits persisted batch jobs" `Quick
             test_daemon_restart_readmits;
           Alcotest.test_case "drain waits for in-flight worker acks" `Quick

@@ -169,7 +169,7 @@ let test_oracle_crash_and_hang () =
 (* --- Corpus ------------------------------------------------------------ *)
 
 let sample_finding ?(repro = Some "fuzz-001.rpt") () =
-  { Corpus.f_subject = "gsim+bytecode";
+  { Corpus.f_subject = "gsim+closures";
     f_kind = "mismatch";
     f_culprit = "pass:simplify";
     f_nodes = 6;
@@ -231,7 +231,7 @@ let canary_campaign dir =
     cycles = 8;
     (* one representative activity engine + one full-cycle engine keeps
        the test fast; the nightly CI job runs the full matrix *)
-    setups = [ Fuzz.setup_of_name "gsim+bytecode"; Fuzz.setup_of_name "verilator+bytecode" ];
+    setups = [ Fuzz.setup_of_name "gsim+closures"; Fuzz.setup_of_name "verilator+closures" ];
     shrink_budget = 500;
     dir;
     inject_miscompile = true }
@@ -400,6 +400,36 @@ let test_shrink_reduces_crafted_case () =
   Alcotest.(check bool) "noise dropped" true
     (Circuit.find_node r.Shrink.circuit "noise" = None)
 
+(* --- Setups ------------------------------------------------------------ *)
+
+(* Closures on every preset; native joins only when a C compiler works.
+   Every default name parses back to the same setup, and an unknown
+   backend name is refused with the list of valid ones. *)
+let test_default_setups () =
+  let closures =
+    [ "verilator+closures"; "arcilator+closures"; "essent+closures"; "gsim+closures" ]
+  in
+  let native =
+    if Gsim_engine.Native.available () then [ "verilator+native"; "gsim+native" ] else []
+  in
+  Alcotest.(check (list string))
+    "closures everywhere, native with cc" (closures @ native)
+    (List.map (fun s -> s.Fuzz.s_name) Fuzz.default_setups);
+  List.iter
+    (fun (s : Fuzz.setup) ->
+      let s' = Fuzz.setup_of_name s.Fuzz.s_name in
+      Alcotest.(check string) (s.s_name ^ ": engine") s.s_engine s'.Fuzz.s_engine;
+      Alcotest.(check string) (s.s_name ^ ": backend")
+        (Gsim_engine.Eval.to_string s.s_backend)
+        (Gsim_engine.Eval.to_string s'.Fuzz.s_backend);
+      Alcotest.(check bool) (s.s_name ^ ": level") true (s.s_level = s'.Fuzz.s_level))
+    Fuzz.default_setups;
+  match Fuzz.setup_of_name "gsim+interpreter" with
+  | exception Failure msg ->
+    Alcotest.(check bool) ("lists the valid backends: " ^ msg) true
+      (contains msg Gsim_engine.Eval.names)
+  | _ -> Alcotest.fail "an unknown backend name was accepted"
+
 (* ----------------------------------------------------------------------- *)
 
 let () =
@@ -427,4 +457,6 @@ let () =
             test_clean_campaign_is_quiet ] );
       ( "shrink",
         [ Alcotest.test_case "crafted case reduces" `Quick
-            test_shrink_reduces_crafted_case ] ) ]
+            test_shrink_reduces_crafted_case ] );
+      ( "setups",
+        [ Alcotest.test_case "default matrix and names" `Quick test_default_setups ] ) ]
