@@ -1376,6 +1376,9 @@ let micro () =
       Test.make ~name:"table4.partition_gsim"
         (Staged.stage (fun () ->
              ignore (Partition.gsim core.Stu_core.circuit ~max_size:32)));
+      Test.make ~name:"pipeline.o3_rocket"
+        (Staged.stage (fun () ->
+             ignore (Pipeline.optimize ~level:Pipeline.O3 (Circuit.copy core.Stu_core.circuit))));
     ]
   in
   let instances = Toolkit.Instance.[ monotonic_clock ] in

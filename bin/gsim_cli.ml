@@ -1,7 +1,8 @@
 (* gsim — command-line driver.
 
    Subcommands:
-     stats   show IR statistics of a FIRRTL design, before and after opts
+     stats   show IR statistics of a FIRRTL design, before and after opts,
+             and what each optimization pass did and cost
      emit    compile a FIRRTL design and emit C++ simulation code
      sim     simulate a FIRRTL design with pokes from the command line
      run     run a built-in workload on a built-in processor design     *)
@@ -12,6 +13,7 @@ module Circuit = Gsim_ir.Circuit
 module Sim = Gsim_engine.Sim
 module Counters = Gsim_engine.Counters
 module Pipeline = Gsim_passes.Pipeline
+module Pass = Gsim_passes.Pass
 module Designs = Gsim_designs.Designs
 module Stu_core = Gsim_designs.Stu_core
 module Programs = Gsim_designs.Programs
@@ -295,12 +297,22 @@ let stats_cmd =
     Printf.printf "design   : %s\n" (Circuit.name circuit);
     Printf.printf "unoptimized: %s\n" (Format.asprintf "%a" Circuit.pp_stats s);
     let c = Circuit.copy circuit in
-    ignore (Pipeline.optimize ~level:Pipeline.O3 c);
+    let outcomes = Pipeline.optimize ~level:Pipeline.O3 c in
     ignore (Circuit.compact c);
     Printf.printf "after -O3  : %s\n" (Format.asprintf "%a" Circuit.pp_stats (Circuit.stats c));
+    Printf.printf "%-10s %7s %9s %8s %9s\n" "pass" "applied" "rewrites" "nodes" "seconds";
+    List.iter
+      (fun t ->
+        Printf.printf "%-10s %7d %9d %+8d %9.4f\n" t.Pass.total_pass t.Pass.applications
+          t.Pass.total_rewrites t.Pass.node_delta t.Pass.total_seconds)
+      (Pass.totals outcomes);
     if halt <> None then print_endline "design contains stop(): $halt output synthesized"
   in
-  Cmd.v (Cmd.info "stats" ~doc:"Show IR statistics before and after optimization")
+  Cmd.v
+    (Cmd.info "stats"
+       ~doc:
+         "Show IR statistics before and after optimization, and per pass its applications, \
+          rewrites, node delta and seconds")
     Term.(const run $ file_arg)
 
 (* --- emit ---------------------------------------------------------------- *)

@@ -236,6 +236,26 @@ let rec equal a b =
   | Mux (s1, x1, y1), Mux (s2, x2, y2) -> equal s1 s2 && equal x1 x2 && equal y1 y2
   | (Const _ | Var _ | Unop _ | Binop _ | Mux _), _ -> false
 
+(* One level of [hash]: the node's constructor, operator and width mixed
+   with the hashes of its operands ([h1], [h2], [h3] in order, 0 where
+   absent).  [Hashtbl.hash] over an int tuple mixes every field, so
+   expressions that differ only in a nearby node id or width still land
+   in different buckets. *)
+let hash_node e h1 h2 h3 =
+  match e.desc with
+  | Const b -> Hashtbl.hash (0, e.width, Bits.hash b)
+  | Var v -> Hashtbl.hash (1, e.width, v)
+  | Unop (op, _) -> Hashtbl.hash (2, e.width, Hashtbl.hash op, h1)
+  | Binop (op, _, _) -> Hashtbl.hash (3, e.width, Hashtbl.hash op, h1, h2)
+  | Mux _ -> Hashtbl.hash (4, e.width, h1, h2, h3)
+
+let rec hash e =
+  match e.desc with
+  | Const _ | Var _ -> hash_node e 0 0 0
+  | Unop (_, a) -> hash_node e (hash a) 0 0
+  | Binop (_, a, b) -> hash_node e (hash a) (hash b) 0
+  | Mux (s, a, b) -> hash_node e (hash s) (hash a) (hash b)
+
 (* ------------------------------------------------------------------ *)
 (* Printing                                                            *)
 (* ------------------------------------------------------------------ *)

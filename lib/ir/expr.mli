@@ -96,6 +96,16 @@ val depends_on : t -> int -> bool
 
 val equal : t -> t -> bool
 
+val hash : t -> int
+(** Structural hash, consistent with {!equal}: equal expressions hash
+    equal.  Suitable for [Hashtbl.Make]. *)
+
+val hash_node : t -> int -> int -> int -> int
+(** [hash_node e h1 h2 h3] is [hash e] given the hashes of [e]'s operands
+    in order ([0] for absent ones), for passes that hash every
+    subexpression bottom-up in one traversal instead of rehashing each
+    subtree. *)
+
 val pp : Format.formatter -> t -> unit
 
 val pp_unop : Format.formatter -> unop -> unit

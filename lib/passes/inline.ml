@@ -90,79 +90,113 @@ let inline_run c =
 (* Extraction direction (cross-node CSE)                               *)
 (* ------------------------------------------------------------------ *)
 
-(* Canonical key of an expression for the occurrence table. *)
-let key_of e = Format.asprintf "%a" Expr.pp e
+(* Subexpressions eligible for extraction: at least two operators (a
+   single operator on leaves is cheaper than a node of its own) and at most
+   [max_extract_size]. *)
+let min_extract_size = 2
+let max_extract_size = 24
+
+(* Extractions per run; the fixpoint extracts the rest in later rounds. *)
+let max_extract_per_run = 64
+
+(* Occurrence-table key: a subexpression with its structural hash
+   ([Expr.hash]), computed once bottom-up so neither counting nor rewriting
+   rehashes a subtree. *)
+type key = { hash : int; expr : Expr.t }
+
+module Tbl = Hashtbl.Make (struct
+  type t = key
+
+  let equal a b = a.hash = b.hash && Expr.equal a.expr b.expr
+  let hash k = k.hash
+end)
+
+(* Walks [e] bottom-up, computing each subexpression's size once and its
+   hash only up to the window (every enclosing expression is larger
+   still).  [visit ~size k] sees each window subexpression, operands
+   before their parent, and may answer a replacement; a replaced parent
+   drops its rewritten operands, so the outermost match wins.  Returns
+   [e]'s size, hash and rewritten form ([== e] when nothing changed). *)
+let window_hash e size h1 h2 h3 =
+  if size <= max_extract_size then Expr.hash_node e h1 h2 h3 else 0
+
+let rec walk visit (e : Expr.t) =
+  let size, h, e' =
+    match e.Expr.desc with
+    | Expr.Const _ | Expr.Var _ -> (0, Expr.hash_node e 0 0 0, e)
+    | Expr.Unop (op, a) ->
+      let sa, ha, a' = walk visit a in
+      let size = 1 + sa in
+      (size, window_hash e size ha 0 0, if a' == a then e else Expr.unop op a')
+    | Expr.Binop (op, a, b) ->
+      let sa, ha, a' = walk visit a in
+      let sb, hb, b' = walk visit b in
+      let size = 1 + sa + sb in
+      (size, window_hash e size ha hb 0, if a' == a && b' == b then e else Expr.binop op a' b')
+    | Expr.Mux (s, a, b) ->
+      let ss, hs, s' = walk visit s in
+      let sa, ha, a' = walk visit a in
+      let sb, hb, b' = walk visit b in
+      let size = 1 + ss + sa + sb in
+      ( size,
+        window_hash e size hs ha hb,
+        if s' == s && a' == a && b' == b then e else Expr.mux s' a' b' )
+  in
+  let e' =
+    if size < min_extract_size || size > max_extract_size then e'
+    else match visit ~size { hash = h; expr = e } with Some r -> r | None -> e'
+  in
+  (size, h, e')
+
+type occurrences = { mutable refs : int; size : int; first : int }
 
 let extract_run c =
-  (* Count occurrences of nontrivial subexpressions across every node. *)
-  let table : (string, int * Expr.t) Hashtbl.t = Hashtbl.create 1024 in
-  let rec visit (e : Expr.t) =
-    (match e.Expr.desc with
-     | Expr.Const _ | Expr.Var _ -> ()
-     | Expr.Unop (_, a) -> visit a
-     | Expr.Binop (_, a, b) -> visit a; visit b
-     | Expr.Mux (s, a, b) -> visit s; visit a; visit b);
-    if Expr.size e >= 2 && Expr.size e <= 24 then begin
-      let k = key_of e in
-      match Hashtbl.find_opt table k with
-      | Some (n, e0) -> Hashtbl.replace table k (n + 1, e0)
-      | None -> Hashtbl.add table k (1, e)
-    end
+  (* Count occurrences of window subexpressions across every node,
+     remembering each one's first occurrence in node order. *)
+  let table = Tbl.create 1024 in
+  let count ~size k =
+    (match Tbl.find_opt table k with
+     | Some o -> o.refs <- o.refs + 1
+     | None -> Tbl.add table k { refs = 1; size; first = Tbl.length table });
+    None
   in
   Circuit.iter_nodes c (fun n ->
-      match n.Circuit.expr with Some e -> visit e | None -> ());
-  (* Pick winners by the cost model; prefer bigger expressions first so
-     nested candidates defer to their enclosing winner. *)
+      match n.Circuit.expr with Some e -> ignore (walk count e) | None -> ());
+  (* Winners by the cost model, bigger expressions first so nested
+     candidates defer to their enclosing winner, ties by first occurrence:
+     a total order, so the result never depends on table iteration. *)
   let winners =
-    Hashtbl.fold
-      (fun k (refs, e) acc ->
-        if refs >= 2 && should_extract ~cost:(Expr.cost e) ~refs then (k, e) :: acc else acc)
+    Tbl.fold
+      (fun k o acc ->
+        if o.refs >= 2 && should_extract ~cost:(Expr.cost k.expr) ~refs:o.refs then (k, o) :: acc
+        else acc)
       table []
-    |> List.sort (fun (_, e1) (_, e2) -> compare (Expr.size e2) (Expr.size e1))
+    |> List.sort (fun (_, a) (_, b) ->
+        if a.size <> b.size then compare b.size a.size else compare a.first b.first)
+    |> List.filteri (fun i _ -> i < max_extract_per_run)
   in
-  let changed = ref 0 in
-  let extracted : (string, int) Hashtbl.t = Hashtbl.create 16 in
+  let first_fresh = Circuit.max_id c in
+  let extracted = Tbl.create 64 in
   List.iter
-    (fun (k, e) ->
-      (* Skip candidates nested inside an already-extracted expression to
-         avoid churn; the next fixpoint round reconsiders them. *)
-      if Hashtbl.length extracted < 64 && not (Hashtbl.mem extracted k) then begin
-        let node = Circuit.add_logic c ~name:(Circuit.fresh_name c "cse") e in
-        Hashtbl.add extracted k node.Circuit.id;
-        incr changed
-      end)
-    (match winners with _ :: _ -> winners | [] -> []);
-  if !changed > 0 then begin
-    (* Rewrite every occurrence (outermost-first) to reference the new
-       nodes. *)
-    let rec rewrite (e : Expr.t) : Expr.t =
-      match Hashtbl.find_opt extracted (key_of e) with
-      | Some id when Expr.size e >= 2 -> Expr.var ~width:(Expr.width e) id
-      | Some _ | None ->
-        (match e.Expr.desc with
-         | Expr.Const _ | Expr.Var _ -> e
-         | Expr.Unop (op, a) ->
-           let a' = rewrite a in
-           if a' == a then e else Expr.unop op a'
-         | Expr.Binop (op, a, b) ->
-           let a' = rewrite a and b' = rewrite b in
-           if a' == a && b' == b then e else Expr.binop op a' b'
-         | Expr.Mux (s, a, b) ->
-           let s' = rewrite s and a' = rewrite a and b' = rewrite b in
-           if s' == s && a' == a && b' == b then e else Expr.mux s' a' b')
+    (fun (k, _) ->
+      let node = Circuit.add_logic c ~name:(Circuit.fresh_name c "cse") k.expr in
+      Tbl.add extracted k node.Circuit.id)
+    winners;
+  if winners <> [] then begin
+    (* Rewrite every occurrence, outermost first, to reference the new
+       nodes.  The fresh CSE nodes keep their bodies verbatim; operands
+       nested in them that also won are reconsidered next round. *)
+    let replace ~size:_ k =
+      Option.map (fun id -> Expr.var ~width:(Expr.width k.expr) id) (Tbl.find_opt extracted k)
     in
     Circuit.iter_nodes c (fun n ->
         match n.Circuit.expr with
-        | Some e ->
-          (* The freshly created CSE nodes keep their body verbatim. *)
-          if not (Hashtbl.mem extracted (key_of e) && Hashtbl.find extracted (key_of e) = n.Circuit.id)
-          then begin
-            let e' = rewrite e in
-            if not (e' == e) then n.Circuit.expr <- Some e'
-          end
-        | None -> ())
+        | Some e when n.Circuit.id < first_fresh ->
+          let _, _, e' = walk replace e in
+          if e' != e then n.Circuit.expr <- Some e'
+        | Some _ | None -> ())
   end;
-  !changed
+  List.length winners
 
 let inline_pass = { Pass.pass_name = "inline"; run = inline_run }
 let extract_pass = { Pass.pass_name = "extract"; run = extract_run }

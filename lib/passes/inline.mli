@@ -10,7 +10,13 @@
     and inline otherwise.  The pass works in both directions: existing
     multiply-referenced cheap nodes are dissolved into their consumers, and
     repeated subexpressions whose cost clears the bound are hoisted into
-    fresh nodes (common-subexpression extraction). *)
+    fresh nodes (common-subexpression extraction).
+
+    Extraction considers subexpressions of 2 to 24 operators, counted by
+    structure ({!Gsim_ir.Expr.equal}, {!Gsim_ir.Expr.hash}) in one
+    bottom-up walk per node.  It takes winners largest first, ties by
+    first occurrence in node order, and at most 64 per run; the
+    fixpoint takes the rest.  The result is deterministic. *)
 
 val cost_node : int
 (** The modeled overhead of one extra node: an activation, an examination

@@ -2,7 +2,8 @@
 
     A pass mutates the circuit in place and reports how many rewrites it
     performed.  {!run_fixpoint} iterates a pipeline until nothing changes,
-    and {!report} captures per-pass statistics for the ablation benches. *)
+    each {!outcome} records its rewrites, node delta and time, and
+    {!totals} sums them per pass. *)
 
 open Gsim_ir
 
@@ -13,6 +14,7 @@ type outcome = {
   rewrites : int;
   nodes_before : int;
   nodes_after : int;
+  seconds : float;  (** processor time of the application ([Sys.time]) *)
 }
 
 val apply : t -> Circuit.t -> outcome
@@ -25,3 +27,16 @@ val run_fixpoint : ?max_rounds:int -> t list -> Circuit.t -> outcome list
     round bound is hit).  Validates the circuit after every round. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit
+
+(** Per-pass totals over a pipeline's outcomes (e.g. {!Pipeline.optimize}'s
+    result): what [gsim stats] prints. *)
+type total = {
+  total_pass : string;
+  applications : int;
+  total_rewrites : int;
+  node_delta : int;  (** sum of [nodes_after - nodes_before] *)
+  total_seconds : float;
+}
+
+val totals : outcome list -> total list
+(** One row per pass name, in order of first application. *)

@@ -2,6 +2,9 @@
 
 module Bits = Gsim_bits.Bits
 module Expr = Gsim_ir.Expr
+module Circuit = Gsim_ir.Circuit
+module Rand_circuit = Gsim_ir.Rand_circuit
+module Designs = Gsim_designs.Designs
 
 let b ~w n = Bits.of_int ~width:w n
 let c ~w n = Expr.const (b ~w n)
@@ -120,6 +123,73 @@ let prop_eval_matches_bits =
       let env = env_of_list [ (0, x); (1, y) ] in
       Bits.equal (Expr.eval env e) (Expr.eval_binop op x y))
 
+(* A structurally equal copy of [e] sharing no node with it. *)
+let rec rebuild (e : Expr.t) =
+  match e.Expr.desc with
+  | Expr.Const v -> Expr.const (Bits.copy v)
+  | Expr.Var v -> Expr.var ~width:e.Expr.width v
+  | Expr.Unop (op, a) -> Expr.unop op (rebuild a)
+  | Expr.Binop (op, a, b) -> Expr.binop op (rebuild a) (rebuild b)
+  | Expr.Mux (s, a, b) -> Expr.mux (rebuild s) (rebuild a) (rebuild b)
+
+let rec iter_subexprs f (e : Expr.t) =
+  f e;
+  match e.Expr.desc with
+  | Expr.Const _ | Expr.Var _ -> ()
+  | Expr.Unop (_, a) -> iter_subexprs f a
+  | Expr.Binop (_, a, b) -> iter_subexprs f a; iter_subexprs f b
+  | Expr.Mux (s, a, b) -> iter_subexprs f s; iter_subexprs f a; iter_subexprs f b
+
+let iter_circuit_subexprs c f =
+  Circuit.iter_nodes c (fun n ->
+      match n.Circuit.expr with Some e -> iter_subexprs f e | None -> ())
+
+let test_hash_consistent () =
+  let st = Random.State.make [| 2025 |] in
+  let checked = ref 0 in
+  for _ = 1 to 20 do
+    let c = Rand_circuit.generate st Rand_circuit.default_config in
+    iter_circuit_subexprs c (fun e ->
+        let e' = rebuild e in
+        Alcotest.(check bool) "rebuilt is equal" true (Expr.equal e e');
+        Alcotest.(check int) "equal => same hash" (Expr.hash e) (Expr.hash e');
+        incr checked)
+  done;
+  Alcotest.(check bool) "exercised" true (!checked > 1000);
+  (* Fields that [equal] separates also move the hash. *)
+  let x = Expr.var ~width:8 0 in
+  let distinct =
+    [
+      x; Expr.var ~width:9 0; Expr.var ~width:8 1; c ~w:8 0; c ~w:8 1;
+      Expr.unop Expr.Not x; Expr.unop (Expr.Extract (3, 0)) x; Expr.unop (Expr.Extract (4, 1)) x;
+      Expr.binop Expr.Add x x; Expr.binop Expr.Sub x x; Expr.mux x x x;
+    ]
+  in
+  let hashes = List.sort_uniq compare (List.map Expr.hash distinct) in
+  Alcotest.(check int) "distinct expressions, distinct hashes" (List.length distinct)
+    (List.length hashes)
+
+(* The CSE pass keys a table on every subexpression of up to 24
+   operators; over Rocket's, the buckets must stay short. *)
+module Tbl = Hashtbl.Make (struct
+  type t = Expr.t
+
+  let equal = Expr.equal
+  let hash = Expr.hash
+end)
+
+let test_hash_spread () =
+  let core = Designs.rocket_like.Designs.build () in
+  let tbl = Tbl.create 1024 in
+  iter_circuit_subexprs core.Gsim_designs.Stu_core.circuit (fun e ->
+      if Expr.size e <= 24 then Tbl.replace tbl e ());
+  let st = Tbl.stats tbl in
+  Alcotest.(check bool) (Printf.sprintf "many keys (%d)" st.Hashtbl.num_bindings) true
+    (st.Hashtbl.num_bindings > 5000);
+  Alcotest.(check bool)
+    (Printf.sprintf "longest bucket %d" st.Hashtbl.max_bucket_length)
+    true (st.Hashtbl.max_bucket_length <= 12)
+
 let () =
   Alcotest.run "expr"
     [
@@ -132,6 +202,8 @@ let () =
           Alcotest.test_case "vars/subst" `Quick test_vars_and_subst;
           Alcotest.test_case "size/cost" `Quick test_size_cost;
           Alcotest.test_case "equal" `Quick test_equal;
+          Alcotest.test_case "hash consistent with equal" `Quick test_hash_consistent;
+          Alcotest.test_case "hash spread" `Quick test_hash_spread;
         ] );
       ("props", [ QCheck_alcotest.to_alcotest prop_eval_matches_bits ]);
     ]

@@ -19,6 +19,9 @@ module Inline = Gsim_passes.Inline
 module Reset_opt = Gsim_passes.Reset_opt
 module Bitsplit = Gsim_passes.Bitsplit
 module Pipeline = Gsim_passes.Pipeline
+module Ir_text = Gsim_ir.Ir_text
+module Designs = Gsim_designs.Designs
+module Stu_core = Gsim_designs.Stu_core
 
 let b ~w n = Bits.of_int ~width:w n
 
@@ -522,6 +525,95 @@ let test_bitsplit_registers () =
   Alcotest.(check int) "hi consumer stays idle under low-half traffic" hits_before
     hits_after
 
+(* More tied extraction candidates than one run may take (64), each used
+   by two consumers: [nsmall] size-2 products first seen in a scrambled
+   node order, then [nbig] size-3 ones seen only after all of them.
+   Returns the circuit and every candidate in the order extraction must
+   take them: bigger first, ties by first occurrence in node order. *)
+let nsmall = 70
+let nbig = 4
+
+let tied_candidates () =
+  let c = Circuit.create () in
+  let input name = Expr.var ~width:16 (Circuit.add_input c ~name ~width:16).Circuit.id in
+  let y = input "y" and z = input "z" in
+  let xs = Array.init nsmall (fun i -> input (Printf.sprintf "x%d" i)) in
+  (* cost 4: extracted at two uses *)
+  let small i = Expr.binop Expr.Mul (Expr.binop Expr.And xs.(i) y) y in
+  (* cost 5; its cost-2 operand stays inline *)
+  let big i = Expr.binop Expr.Mul (Expr.binop Expr.And (Expr.unop Expr.Not xs.(i)) z) z in
+  let consume prefix i e other =
+    let n = Circuit.add_logic c ~name:(Printf.sprintf "%s%d" prefix i) (Expr.binop Expr.Xor e other) in
+    Circuit.mark_output c n.Circuit.id
+  in
+  let order = List.init nsmall (fun k -> k * 37 mod nsmall) in
+  let bigs = List.init nbig Fun.id in
+  List.iter (fun i -> consume "a" i (small i) xs.(i)) order;
+  List.iter (fun i -> consume "b" i (big i) xs.(i)) bigs;
+  List.iter (fun i -> consume "c" i (small i) y) order;
+  List.iter (fun i -> consume "d" i (big i) z) bigs;
+  (c, List.map big bigs @ List.map small order)
+
+(* Bodies of the nodes created at or after [first], in id order. *)
+let bodies_from c first =
+  List.init (Circuit.max_id c - first) (fun k -> first + k)
+  |> List.filter_map (fun id ->
+         Option.bind (Circuit.node_opt c id) (fun n -> n.Circuit.expr))
+
+let test_extract_cap_tie_break () =
+  let c, expected = tied_candidates () in
+  let stimulus = Rand_circuit.random_stimulus (Random.State.make [| 64 |]) c ~cycles:4 in
+  let observe = List.map (fun n -> n.Circuit.id) (Circuit.outputs c) in
+  let reference = trace_reference c ~stimulus ~observe in
+  let first = Circuit.max_id c in
+  Alcotest.(check int) "one run extracts exactly the cap" 64 (Inline.extract_pass.Pass.run c);
+  Circuit.validate c;
+  Alcotest.(check bool) "bigger first, then by first occurrence" true
+    (List.equal Expr.equal (List.filteri (fun k _ -> k < 64) expected) (bodies_from c first));
+  let again, _ = tied_candidates () in
+  ignore (Inline.extract_pass.Pass.run again);
+  Alcotest.(check string) "deterministic IR" (Ir_text.to_string c) (Ir_text.to_string again);
+  Alcotest.(check int) "next run extracts the rest" (nsmall + nbig - 64)
+    (Inline.extract_pass.Pass.run c);
+  Alcotest.(check int) "then nothing" 0 (Inline.extract_pass.Pass.run c);
+  Circuit.validate c;
+  Alcotest.(check bool) "every candidate extracted once, in order" true
+    (List.equal Expr.equal expected (bodies_from c first));
+  Alcotest.(check bool) "trace preserved" true
+    (Sim.equal_traces reference (trace_reference c ~stimulus ~observe))
+
+(* O3 node counts of the built-in designs: a change to the extraction
+   order may rename CSE nodes, but must not drop or duplicate any. *)
+let test_o3_node_counts () =
+  List.iter
+    (fun (d, expected) ->
+      let c = (d.Designs.build ()).Stu_core.circuit in
+      ignore (Pipeline.optimize ~level:Pipeline.O3 c);
+      Alcotest.(check int) d.Designs.design_name expected (Circuit.node_count c))
+    [ (Designs.stu_core, 57); (Designs.rocket_like, 1908); (Designs.boom_like, 6538) ]
+
+let test_pass_totals () =
+  let st = Random.State.make [| 779 |] in
+  let c = Rand_circuit.generate st Rand_circuit.default_config in
+  let outcomes = Pipeline.optimize ~level:Pipeline.O3 c in
+  let totals = Pass.totals outcomes in
+  Alcotest.(check (list string)) "one row per pass, in first-application order"
+    [ "simplify"; "alias"; "dce"; "reset"; "extract"; "inline"; "bitsplit" ]
+    (List.map (fun t -> t.Pass.total_pass) totals);
+  let sum f = List.fold_left (fun a t -> a + f t) 0 totals in
+  Alcotest.(check int) "applications" (List.length outcomes) (sum (fun t -> t.Pass.applications));
+  Alcotest.(check int) "rewrites"
+    (List.fold_left (fun a o -> a + o.Pass.rewrites) 0 outcomes)
+    (sum (fun t -> t.Pass.total_rewrites));
+  match outcomes with
+  | first :: _ ->
+    Alcotest.(check int) "node delta"
+      (Circuit.node_count c - first.Pass.nodes_before)
+      (sum (fun t -> t.Pass.node_delta));
+    Alcotest.(check bool) "times are nonnegative" true
+      (List.for_all (fun o -> o.Pass.seconds >= 0.) outcomes)
+  | [] -> Alcotest.fail "no outcomes"
+
 let () =
   Alcotest.run "passes"
     (main_suites
@@ -531,5 +623,8 @@ let () =
              Alcotest.test_case "idempotent" `Quick test_pipeline_idempotent;
              Alcotest.test_case "outcome accounting" `Quick test_outcomes_accounting;
              Alcotest.test_case "bitsplit registers" `Quick test_bitsplit_registers;
+             Alcotest.test_case "extract cap and tie-break" `Quick test_extract_cap_tie_break;
+             Alcotest.test_case "O3 node counts" `Quick test_o3_node_counts;
+             Alcotest.test_case "per-pass totals" `Quick test_pass_totals;
            ] );
        ])
