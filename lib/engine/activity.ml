@@ -11,6 +11,63 @@ let gsim_config = { packed_exam = true; activation = Cost_model }
 
 let word_bits = 62
 
+(* The flat tables of the native sweep and latch ([gsim_activity_sweep]
+   and [gsim_activity_latch] in native_stubs.c), built once by [create]
+   when the native backend was selected.  The stubs read the fields by
+   position: keep the order in step with their SW_* indices. *)
+type sweep = {
+  sw_words : int array;      (* [t.words] *)
+  sw_active : bool array;    (* [t.active] *)
+  sw_packed : bool;
+  sw_sn : int array;  (* per supernode: first member row, member count *)
+  sw_mem : int array;
+      (* per member row, five words: tagged fn, or -(j + 1) for narrow
+         memory read j, or 0 for a member OCaml evaluates; pending
+         register (-1: none); activation range [lo, hi) in [sw_act];
+         targets * 2 + branch-free flag *)
+  sw_act : int array;
+      (* packed: pre-merged (word index, mask) pairs; unpacked: target
+         supernodes *)
+  sw_hits : int array;       (* [t.sn_hits] *)
+  sw_pending : bool array;   (* [t.pending] *)
+  sw_pstack : int array;     (* [t.pending_stack] *)
+  sw_state : int array;      (* see the [st_*] indices *)
+  sw_arena : int array;
+  sw_wflat : Bytes.t;
+  sw_wide : Bits.t array;
+  sw_reads : int array;
+      (* per narrow memory read, five words: memory index, address node,
+         enable node (-1: none), depth, the read node *)
+  sw_mems : int array array;  (* the runtime's narrow memory arrays *)
+  sw_regs : int array;
+      (* per register, five words: read node (-1: latched by OCaml),
+         next node, activation range [lo, hi) in [sw_act], targets *)
+  sw_steps : (unit -> bool) array;
+      (* per member row: its fused step closure, run when the stub yields
+         the row (not read by C) *)
+}
+
+(* [sw_state] slots: resume position (-1: start a sweep), the yielded
+   supernode's remaining rows, the pending stack length (in and out),
+   then the counter deltas of the last call. *)
+let st_pos = 0
+let st_plen = 3
+let st_exams = 4
+let st_evals = 5
+let st_changed = 6
+let st_acts = 7
+let st_commits = 8
+
+(* One whole sweep, or up to the next member OCaml must evaluate:
+   returns that member's row, or -1 when no active bit is left.
+   [@@noalloc] keeps the arenas in place while the generated code
+   runs. *)
+external native_sweep : sweep -> int = "gsim_activity_sweep" [@@noalloc]
+
+(* Latch the pending registers, or up to the next one OCaml must latch:
+   returns that register, or -1 once the pending stack is drained. *)
+external native_latch : sweep -> int = "gsim_activity_latch" [@@noalloc]
+
 type t = {
   rt : Runtime.t;
   counters : Counters.t;
@@ -29,7 +86,7 @@ type t = {
   reg_copy : (unit -> bool) array;
   reg_read_activate : (unit -> unit) array;  (* activate successors of the read node *)
   pending : bool array;
-  mutable pending_stack : int array;
+  pending_stack : int array;
   mutable pending_len : int;
   mutable resets : ((unit -> bool) * int array) array;
       (* (signal test, register indices); applied at end of cycle *)
@@ -46,6 +103,9 @@ type t = {
      wake closures — force marks the consumers' active bits, release
      re-activates the node's own supernode / re-latches its register. *)
   force_wakes : (int, (unit -> unit) * (unit -> unit)) Hashtbl.t;
+  mutable sweep : sweep option;
+      (* the native sweep; [None] under closures or once a change hook
+         is installed *)
 }
 
 (* --- Active-bit primitives ------------------------------------------- *)
@@ -57,6 +117,28 @@ let set_super t k =
   end
   else t.active.(k) <- true
 
+(* Target supernodes (ascending, as [target_supers] returns them) merged
+   per active word: (word index, mask) pairs. *)
+let merged_masks targets =
+  Array.fold_right
+    (fun k acc ->
+      let wi = k / word_bits and bit = 1 lsl (k mod word_bits) in
+      match acc with
+      | (w, m) :: rest when w = wi -> (w, m lor bit) :: rest
+      | _ -> (wi, bit) :: acc)
+    targets []
+
+(* Whether a node with these activation targets sets them branch-free. *)
+let branch_free t strategy targets =
+  match strategy with
+  | Branch -> false
+  | Branchless -> true
+  | Cost_model ->
+    (* Few targets: unconditional logical updates beat a branch the
+       predictor cannot learn.  Many targets: the branch saves work. *)
+    if t.packed then List.length (merged_masks targets) <= 2
+    else Array.length targets <= 2
+
 (* Build the activation closure for one node given its distinct target
    supernodes (own supernode excluded: members later in the same supernode
    are evaluated in the same sweep). *)
@@ -65,31 +147,9 @@ let make_activator t strategy targets =
   let ntargets = Array.length targets in
   if ntargets = 0 then fun _ -> ()
   else begin
-    let branchless =
-      match strategy with
-      | Branch -> false
-      | Branchless -> true
-      | Cost_model ->
-        (* Few targets: unconditional logical updates beat a branch the
-           predictor cannot learn.  Many targets: the branch saves work. *)
-        if t.packed then
-          let words =
-            Array.to_list targets |> List.map (fun k -> k / word_bits)
-            |> List.sort_uniq compare |> List.length
-          in
-          words <= 2
-        else ntargets <= 2
-    in
+    let branchless = branch_free t strategy targets in
     if branchless && t.packed then begin
-      (* Pre-merge the masks per word. *)
-      let tbl = Hashtbl.create 4 in
-      Array.iter
-        (fun k ->
-          let wi = k / word_bits in
-          let m = try Hashtbl.find tbl wi with Not_found -> 0 in
-          Hashtbl.replace tbl wi (m lor (1 lsl (k mod word_bits))))
-        targets;
-      let pairs = Hashtbl.fold (fun wi m acc -> (wi, m) :: acc) tbl [] in
+      let pairs = merged_masks targets in
       let wis = Array.of_list (List.map fst pairs) in
       let masks = Array.of_list (List.map snd pairs) in
       let words = t.words in
@@ -133,6 +193,95 @@ let target_supers (part : Partition.t) ?(exclude = -1) ids =
       if k >= 0 && k <> exclude then Some k else None)
     ids
   |> List.sort_uniq compare |> Array.of_list
+
+(* The native sweep's tables: every supernode's members get one row each,
+   in member order.  A member runs in C through its generated function,
+   or as a narrow memory read (narrow data, address and enable); a
+   forcible member, or one that is neither, gets fn word 0: the stub
+   yields it to its OCaml step closure.  Narrow registers whose read node
+   is not forcible latch in C too; the others yield to [reg_copy]. *)
+let sweep_tables t (u : Native.unit_t) ~config ~is_forcible part member_targets
+    reg_index_of_next regs reg_targets =
+  let rt = t.rt in
+  let c = Runtime.circuit rt in
+  let narrow id = not (Runtime.is_wide rt id) in
+  let reads = ref [] and nreads = ref 0 in
+  let evaluator id =
+    if is_forcible id then 0
+    else if Native.has_fn u id then u.Native.fns.(id)
+    else
+      match (Circuit.node c id).Circuit.kind with
+      | Circuit.Mem_read pi ->
+        let p = Circuit.read_port c pi in
+        let en = Option.value p.Circuit.r_en ~default:(-1) in
+        if narrow id && narrow p.Circuit.r_addr && (en < 0 || narrow en) then begin
+          let depth = (Circuit.memory c p.Circuit.r_mem).Circuit.depth in
+          reads := List.rev_append [ p.Circuit.r_mem; p.Circuit.r_addr; en; depth; id ] !reads;
+          incr nreads;
+          - !nreads
+        end
+        else 0
+      | _ -> 0
+  in
+  let sn = Array.make (2 * t.nsuper) 0 in
+  let nrows = Array.fold_left (fun n members -> n + Array.length members) 0 member_targets in
+  let mem = Array.make (5 * nrows) 0 and row = ref 0 in
+  let act = ref [] and nact = ref 0 in
+  (* Appends a node's activation targets to [act]; returns their range. *)
+  let add_targets targets =
+    let words =
+      if t.packed then List.concat_map (fun (wi, m) -> [ wi; m ]) (merged_masks targets)
+      else Array.to_list targets
+    in
+    let lo = !nact in
+    act := List.rev_append words !act;
+    nact := !nact + List.length words;
+    (lo, !nact)
+  in
+  Array.iteri
+    (fun k members ->
+      sn.(2 * k) <- !row;
+      sn.((2 * k) + 1) <- Array.length members;
+      Array.iteri
+        (fun i id ->
+          let targets = member_targets.(k).(i) in
+          let lo, hi = add_targets targets in
+          let pending = Option.value (Hashtbl.find_opt reg_index_of_next id) ~default:(-1) in
+          let info =
+            (Array.length targets * 2) + Bool.to_int (branch_free t config.activation targets)
+          in
+          Array.blit [| evaluator id; pending; lo; hi; info |] 0 mem (5 * !row) 5;
+          incr row)
+        members)
+    part.Partition.supernodes;
+  let reg_rows =
+    Array.mapi
+      (fun ri (r : Circuit.register) ->
+        let targets = reg_targets.(ri) in
+        let lo, hi = add_targets targets in
+        let read = if narrow r.read && not (is_forcible r.read) then r.read else -1 in
+        [| read; r.next; lo; hi; Array.length targets |])
+      regs
+  in
+  {
+    sw_words = t.words;
+    sw_active = t.active;
+    sw_packed = t.packed;
+    sw_sn = sn;
+    sw_mem = mem;
+    sw_act = Array.of_list (List.rev !act);
+    sw_hits = t.sn_hits;
+    sw_pending = t.pending;
+    sw_pstack = t.pending_stack;
+    sw_state = Array.make 9 0;
+    sw_arena = Runtime.narrow_values rt;
+    sw_wflat = Runtime.wide_flat rt;
+    sw_wide = Runtime.wide_values rt;
+    sw_reads = Array.of_list (List.rev !reads);
+    sw_mems = Runtime.narrow_mems rt;
+    sw_regs = Array.concat (Array.to_list reg_rows);
+    sw_steps = Array.concat (Array.to_list t.sn_steps);
+  }
 
 let create ?(config = gsim_config) ?(backend = Eval.default) ?(forcible = []) c part =
   let sel = Eval.select backend c in
@@ -189,6 +338,7 @@ let create ?(config = gsim_config) ?(backend = Eval.default) ?(forcible = []) c 
       dirty_stack = Array.make (max (Circuit.max_id c) 1) 0;
       dirty_len = 0;
       force_wakes = Hashtbl.create (max (2 * List.length forcible) 1);
+      sweep = None;
     }
   in
   t.counters.Counters.backend <- Eval.effective_string sel;
@@ -196,17 +346,23 @@ let create ?(config = gsim_config) ?(backend = Eval.default) ?(forcible = []) c 
   (* Node index -> register table index for Reg_next pending marking. *)
   let reg_index_of_next = Hashtbl.create 64 in
   Array.iteri (fun i (r : Circuit.register) -> Hashtbl.replace reg_index_of_next r.next i) regs;
+  (* Each member's distinct target supernodes. *)
+  let member_targets =
+    Array.mapi
+      (fun k members -> Array.map (fun id -> target_supers part ~exclude:k succs.(id)) members)
+      part.Partition.supernodes
+  in
   (* Per-supernode member arrays: evaluation and activation fused into one
      closure per member keeps the sweep's per-node overhead down. *)
   Array.iteri
     (fun k members ->
       let steps =
-        Array.map
-          (fun id ->
+        Array.mapi
+          (fun i id ->
             let eval =
               Eval.node_evaluator ~sel ~forcible:is_forcible rt (Circuit.node c id)
             in
-            let targets = target_supers part ~exclude:k succs.(id) in
+            let targets = member_targets.(k).(i) in
             let act = make_activator t config.activation targets in
             let no_targets = Array.length targets = 0 in
             match Hashtbl.find_opt reg_index_of_next id with
@@ -228,15 +384,24 @@ let create ?(config = gsim_config) ?(backend = Eval.default) ?(forcible = []) c 
       t.sn_steps.(k) <- steps)
     part.Partition.supernodes;
   (* Register read nodes: on latch change, wake the read node's consumers. *)
+  let reg_targets =
+    Array.map (fun (r : Circuit.register) -> target_supers part succs.(r.read)) regs
+  in
   let reg_read_activate =
     Array.map
-      (fun (r : Circuit.register) ->
-        let targets = target_supers part succs.(r.read) in
+      (fun targets ->
         let act = make_activator t Branch targets in
         fun () -> act true)
-      regs
+      reg_targets
   in
   Array.blit reg_read_activate 0 t.reg_read_activate 0 nregs;
+  Option.iter
+    (fun u ->
+      t.sweep <-
+        Some
+          (sweep_tables t u ~config ~is_forcible part member_targets reg_index_of_next regs
+             reg_targets))
+    sel.Eval.native;
   (* Reset groups: one check per distinct reset signal per cycle. *)
   let groups = Hashtbl.create 8 in
   Array.iteri
@@ -397,6 +562,20 @@ let eval_super t k =
   done;
   ctr.Counters.evals <- ctr.Counters.evals + n
 
+(* Index of a one-bit word [1 lsl b], b < 62, in constant time: the top
+   six bits of [bit * debruijn] (63-bit wrap-around product) differ for
+   every b. *)
+let debruijn = 0x3f6eaf2cd271461
+
+let debruijn_index =
+  let tbl = Array.make 64 (-1) in
+  for b = 0 to word_bits - 1 do
+    let i = ((1 lsl b) * debruijn) lsr 57 in
+    assert (tbl.(i) < 0);
+    tbl.(i) <- b
+  done;
+  tbl
+
 let sweep_packed t =
   let ctr = t.counters in
   let words = t.words in
@@ -410,10 +589,7 @@ let sweep_packed t =
         let w = words.(wi) in
         (* Lowest set bit. *)
         let bit = w land -w in
-        let b =
-          let rec log2 x acc = if x = 1 then acc else log2 (x lsr 1) (acc + 1) in
-          log2 bit 0
-        in
+        let b = Array.unsafe_get debruijn_index ((bit * debruijn) lsr 57) in
         ctr.Counters.exams <- ctr.Counters.exams + 1;
         words.(wi) <- w land lnot bit;
         eval_super t ((wi * word_bits) + b)
@@ -447,6 +623,52 @@ let sweep_unpacked t =
   in
   pass ()
 
+(* The native sweep, yielding to OCaml for each member that must run
+   there and then resuming right after it. *)
+let sweep_native t sw =
+  let ctr = t.counters in
+  let st = sw.sw_state in
+  st.(st_pos) <- -1;
+  let rec go () =
+    st.(st_plen) <- t.pending_len;
+    let row = native_sweep sw in
+    t.pending_len <- st.(st_plen);
+    ctr.Counters.exams <- ctr.Counters.exams + st.(st_exams);
+    ctr.Counters.evals <- ctr.Counters.evals + st.(st_evals);
+    ctr.Counters.changed <- ctr.Counters.changed + st.(st_changed);
+    ctr.Counters.activations <- ctr.Counters.activations + st.(st_acts);
+    if row >= 0 then begin
+      if sw.sw_steps.(row) () then ctr.Counters.changed <- ctr.Counters.changed + 1;
+      go ()
+    end
+  in
+  go ()
+
+let latch t ri =
+  if t.reg_copy.(ri) () then begin
+    t.counters.Counters.reg_commits <- t.counters.Counters.reg_commits + 1;
+    t.reg_read_activate.(ri) ()
+  end
+
+(* The native latch, yielding to [latch] for each register OCaml must
+   latch. *)
+let latch_native t sw =
+  let ctr = t.counters in
+  let st = sw.sw_state in
+  st.(st_pos) <- 0;
+  st.(st_plen) <- t.pending_len;
+  let rec go () =
+    let ri = native_latch sw in
+    ctr.Counters.reg_commits <- ctr.Counters.reg_commits + st.(st_commits);
+    ctr.Counters.activations <- ctr.Counters.activations + st.(st_acts);
+    if ri >= 0 then begin
+      latch t ri;
+      go ()
+    end
+  in
+  go ();
+  t.pending_len <- 0
+
 let step t =
   let ctr = t.counters in
   (* Wake consumers of inputs that changed since the last cycle. *)
@@ -456,7 +678,9 @@ let step t =
     t.input_activate.(id) ()
   done;
   t.dirty_len <- 0;
-  if t.packed then sweep_packed t else sweep_unpacked t;
+  (match t.sweep with
+   | Some sw -> sweep_native t sw
+   | None -> if t.packed then sweep_packed t else sweep_unpacked t);
   (* Memory writes commit before registers latch (write data may come from
      register outputs of this cycle). *)
   for i = 0 to Array.length t.write_commits - 1 do
@@ -464,16 +688,16 @@ let step t =
     if commit () then t.mem_activate.(mi) ()
   done;
   (* Latch pending registers. *)
-  let npending = t.pending_len in
-  t.pending_len <- 0;
-  for i = 0 to npending - 1 do
-    let ri = t.pending_stack.(i) in
-    t.pending.(ri) <- false;
-    if t.reg_copy.(ri) () then begin
-      ctr.Counters.reg_commits <- ctr.Counters.reg_commits + 1;
-      t.reg_read_activate.(ri) ()
-    end
-  done;
+  (match t.sweep with
+   | Some sw -> latch_native t sw
+   | None ->
+     let npending = t.pending_len in
+     t.pending_len <- 0;
+     for i = 0 to npending - 1 do
+       let ri = t.pending_stack.(i) in
+       t.pending.(ri) <- false;
+       latch t ri
+     done);
   (* Slow-path resets: one check per reset signal. *)
   Array.iter
     (fun (test, ris) ->
@@ -516,6 +740,8 @@ let invalidate_all t =
    node id.  Pokes mutate input slots outside these closures; observers
    intercept them at the Sim.t layer. *)
 let set_change_hook t hook =
+  (* Hooked steps are OCaml closures: the OCaml sweep runs from now on. *)
+  t.sweep <- None;
   Array.iteri
     (fun k steps ->
       let members = t.sn_members.(k) in

@@ -13,7 +13,19 @@
       per-node selection by the paper's cost model (§III-B).
 
     Slow-path resets (registers whose [reset.slow_path] is set) are applied
-    once per reset signal at the end of each cycle. *)
+    once per reset signal at the end of each cycle.
+
+    Under the native backend ({!Eval.select} returned a native unit) the
+    whole sweep runs in C: one stub call examines the active bits,
+    evaluates every active supernode's members through their generated
+    functions (narrow memory reads inline), counts changes, marks
+    pending registers and sets successor bits; a second call latches the
+    pending narrow registers.  Members and registers C cannot run
+    (forcible, wide memory reads, wide registers) are yielded one at a
+    time to their OCaml closures, and the sweep resumes right after
+    them.  Counters, supernode hits and values are identical to the
+    closures backend.  Installing {!set_change_hook} switches an engine
+    back to the OCaml sweep. *)
 
 module Bits = Gsim_bits.Bits
 open Gsim_ir
@@ -80,6 +92,7 @@ val set_change_hook : t -> (int -> unit) -> unit
     resampling the whole design every cycle.
 
     Install at most once, before simulation starts.  Pokes are not
-    reported — intercept them at the {!Sim.t} layer. *)
+    reported — intercept them at the {!Sim.t} layer.  A hooked engine
+    runs the OCaml sweep even under the native backend. *)
 
 val sim : ?name:string -> t -> Sim.t

@@ -1,8 +1,8 @@
 (* Ahead-of-time native backend: emit C for a circuit's expression nodes
    (Emit_c), compile it to a shared object, dlopen it, and expose the
-   per-node functions as evaluators over the runtime's arenas (narrow
-   int arena plus the wide Bits.t arena, whose limb words the generated
-   code mutates in place).
+   per-node functions over the runtime's arenas (narrow int arena, the
+   flat wide mirror, and the wide Bits.t arena, whose limb words the
+   generated code mutates in place).
 
    Compiled objects are cached on disk keyed by a digest of the canonical
    IR text (the same serialization Gsim.Compile hashes) plus the emitter
@@ -41,7 +41,7 @@ type origin = Memo_hit | Disk_hit | Compiled
 (* ------------------------------------------------------------------ *)
 
 (* GSIM_NATIVE=off disables the backend entirely (tests and the
-   no-compiler CI job use it to exercise the fallback ladder).
+   no-compiler CI job use it to exercise the fallback to closures).
    GSIM_CC overrides compiler discovery; both are re-read on every call
    so a test can flip them at runtime. *)
 let enabled () =

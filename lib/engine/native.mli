@@ -1,10 +1,14 @@
 (** Ahead-of-time native backend.
 
-    Serializes a circuit's narrow expression nodes to C
+    Serializes a circuit's expression nodes, narrow and wide, to C
     ({!Gsim_emit.Emit_c}), shells out to [cc -O2 -shared -fPIC], binds
     the resulting shared object via [dlopen], and exposes each node's
-    generated function as an evaluator over the runtime's narrow arena —
-    bit-identical to the interpreted backends by construction.
+    generated function over the runtime's arenas — bit-identical to the
+    closures backend by construction.  Three consumers call the
+    functions: {!node_evaluator} (one node), {!run_step} (a dense run,
+    used by the full-cycle and parallel engines), and the activity
+    engines' native sweep, which reads {!unit_t.fns} directly into its
+    own tables ({!Activity}).
 
     Compiled objects are cached on disk keyed by the MD5 of the canonical
     IR text (the same serialization {!Gsim.Compile} hashes) plus the
@@ -15,7 +19,7 @@
     handle per distinct circuit per process.
 
     Environment switches, re-read on every call so tests can flip them:
-    - [GSIM_NATIVE=off] disables the backend (forces the fallback ladder);
+    - [GSIM_NATIVE=off] disables the backend (engines run closures);
     - [GSIM_CC] overrides compiler discovery (default: first of [cc],
       [gcc], [clang] on [PATH]);
     - [GSIM_NATIVE_CACHE] overrides the cache directory (default:

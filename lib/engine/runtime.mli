@@ -109,6 +109,11 @@ val wide_flat : t -> Bytes.t
     direct indexed reads from it; all runtime store paths keep it
     identical to the boxed slots. *)
 
+val narrow_mems : t -> int array array
+(** The narrow memories' contents (indexed by memory, then word; [[||]]
+    for a wide memory), not copies.  Engine internals only: the
+    activity engine's native sweep reads memory ports from them. *)
+
 val data_size_bytes : t -> int
 (** Bytes of mutable simulation state excluding memory contents (the
     paper's Table IV "data size" convention, which also excludes the main

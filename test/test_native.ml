@@ -2,7 +2,9 @@
    bit-identical to the reference interpreter on every engine that can
    select them, over hand-written signed div/rem corners, a 120-circuit
    torture sweep, a 60-circuit force/release torture and coverage
-   databases.  Without a C compiler the closure halves still run.  Also
+   databases, with identical event counters and per-supernode hits (the
+   activity engines run their sweep in C under native).  Without a C
+   compiler the closure halves still run.  Also
    pins the .so cache behaviour (miss on first compile, hit on reuse,
    invalidation on circuit-hash change), the missing-compiler fallback,
    and the auto heuristic. *)
@@ -87,25 +89,67 @@ let test_signed_divrem ~w () =
         Alcotest.failf "signed div/rem (w=%d) diverges under %s" w name)
     backends
 
+(* --- counter identity --------------------------------------------------- *)
+
+let counter_fields (ct : Counters.t) =
+  [
+    ("cycles", ct.Counters.cycles);
+    ("evals", ct.Counters.evals);
+    ("changed", ct.Counters.changed);
+    ("exams", ct.Counters.exams);
+    ("activations", ct.Counters.activations);
+    ("reg_commits", ct.Counters.reg_commits);
+    ("reset_checks", ct.Counters.reset_checks);
+  ]
+
+let outcome_counters what outcomes name =
+  match List.find_opt (fun (o : Oracle.outcome) -> o.Oracle.o_subject = name) outcomes with
+  | Some { Oracle.o_counters = Some ct; _ } -> ct
+  | _ -> Alcotest.failf "%s: no counters for %s" what name
+
+(* Every counter of [name] under closures equals the one under native. *)
+let check_counters_identical what outcomes name =
+  let fields b = counter_fields (outcome_counters what outcomes (name ^ "/" ^ b)) in
+  List.iter2
+    (fun (field, x) (_, y) ->
+      Alcotest.(check int) (Printf.sprintf "%s: %s: %s" what name field) x y)
+    (fields "closures") (fields "native")
+
+(* The activity engines a run built, by subject name, so their
+   per-supernode hits can be compared after the oracle run. *)
+let activity_built : (string, Activity.t) Hashtbl.t = Hashtbl.create 8
+
+let activity_subject ~name ~backend ?forcible config partition =
+  fun c ->
+    let a = Activity.create ~config ~backend ?forcible c (partition c) in
+    Hashtbl.replace activity_built (name ^ "/" ^ Eval.to_string backend) a;
+    (Activity.sim ~name a, fun () -> ())
+
+let check_hits_identical what name =
+  let hits b =
+    match Hashtbl.find_opt activity_built (name ^ "/" ^ b) with
+    | Some a -> Activity.supernode_hits a
+    | None -> Alcotest.failf "%s: %s/%s was not built" what name b
+  in
+  Alcotest.(check (array int)) (Printf.sprintf "%s: %s: supernode hits" what name)
+    (hits "closures") (hits "native")
+
 (* --- differential torture: closures vs native ------------------------- *)
+
+let activity_engines ?forcible backend =
+  [
+    ( "essent_mffc",
+      activity_subject ~name:"essent_mffc" ~backend ?forcible Activity.essent_config
+        (Partition.mffc ~max_size:12) );
+    ( "gsim",
+      activity_subject ~name:"gsim" ~backend ?forcible Activity.gsim_config
+        (Partition.gsim ~max_size:24) );
+  ]
 
 let engines backend :
     (string * (Circuit.t -> Sim.t * (unit -> unit))) list =
-  [
-    ("full_cycle", fun c -> (Full_cycle.sim (Full_cycle.create ~backend c), fun () -> ()));
-    ( "essent_mffc",
-      fun c ->
-        let p = Partition.mffc c ~max_size:12 in
-        ( Activity.sim ~name:"essent_mffc"
-            (Activity.create ~config:Activity.essent_config ~backend c p),
-          fun () -> () ) );
-    ( "gsim",
-      fun c ->
-        let p = Partition.gsim c ~max_size:24 in
-        ( Activity.sim ~name:"gsim"
-            (Activity.create ~config:Activity.gsim_config ~backend c p),
-          fun () -> () ) );
-  ]
+  ("full_cycle", fun c -> (Full_cycle.sim (Full_cycle.create ~backend c), fun () -> ()))
+  :: activity_engines backend
 
 let parallel2 backend c =
   let t = Parallel.create ~backend ~threads:2 c in
@@ -144,23 +188,15 @@ let torture_one ~seed ~with_parallel =
    | Some (s, f) ->
      Alcotest.failf "seed %d: %s: %s" seed s (Oracle.failure_to_string f)
    | None -> ());
-  (* The [changed] counters must also be backend-independent. *)
-  if have_cc then
-  let changed name =
-    match
-      List.find_opt (fun (o : Oracle.outcome) -> o.Oracle.o_subject = name) outcomes
-    with
-    | Some { Oracle.o_counters = Some ct; _ } -> ct.Counters.changed
-    | _ -> Alcotest.failf "seed %d: no counters for %s" seed name
-  in
-  List.iter
-    (fun (name, _) ->
-      Alcotest.(check int)
-        (Printf.sprintf "seed %d: %s: changed counter" seed name)
-        (changed (name ^ "/closures"))
-        (changed (name ^ "/native")))
-    (engines `Closures
-    @ if with_parallel then [ ("parallel2", parallel2 `Closures) ] else [])
+  (* Counters and supernode hits must also be backend-independent. *)
+  if have_cc then begin
+    let what = Printf.sprintf "seed %d" seed in
+    List.iter
+      (fun (name, _) -> check_counters_identical what outcomes name)
+      (engines `Closures
+      @ if with_parallel then [ ("parallel2", parallel2 `Closures) ] else []);
+    List.iter (fun (name, _) -> check_hits_identical what name) (activity_engines `Closures)
+  end
 
 let test_torture () =
   for seed = 0 to 119 do
@@ -176,26 +212,15 @@ let test_torture () =
    demoted out of native runs into guarded closures. *)
 let force_engines backend targets :
     (string * (Circuit.t -> Sim.t * (unit -> unit))) list =
-  [
-    ( "full_cycle",
-      fun c -> (Full_cycle.sim (Full_cycle.create ~backend ~forcible:targets c), fun () -> ()) );
-    ( "essent_mffc",
-      fun c ->
-        let p = Partition.mffc c ~max_size:12 in
-        ( Activity.sim ~name:"essent_mffc"
-            (Activity.create ~config:Activity.essent_config ~backend ~forcible:targets c p),
-          fun () -> () ) );
-    ( "gsim",
-      fun c ->
-        let p = Partition.gsim c ~max_size:24 in
-        ( Activity.sim ~name:"gsim"
-            (Activity.create ~config:Activity.gsim_config ~backend ~forcible:targets c p),
-          fun () -> () ) );
-    ( "parallel2",
-      fun c ->
-        let t = Parallel.create ~backend ~forcible:targets ~threads:2 c in
-        (Parallel.sim t, fun () -> Parallel.destroy t) );
-  ]
+  ( "full_cycle",
+    fun c -> (Full_cycle.sim (Full_cycle.create ~backend ~forcible:targets c), fun () -> ()) )
+  :: activity_engines ~forcible:targets backend
+  @ [
+      ( "parallel2",
+        fun c ->
+          let t = Parallel.create ~backend ~forcible:targets ~threads:2 c in
+          (Parallel.sim t, fun () -> Parallel.destroy t) );
+    ]
 
 let torture_force_one ~seed =
   let st = Random.State.make [| seed; 9021 |] in
@@ -253,18 +278,116 @@ let torture_force_one ~seed =
       (fun backend -> oracle_subjects backend (force_engines backend targets))
       backends
   in
-  match Oracle.first_failure (Oracle.run ~observe c steps subjects) with
-  | Some (s, f) ->
-    Alcotest.failf "seed %d: %s (targets %s): forced run diverges from reference: %s"
-      seed s
-      (String.concat "," (List.map string_of_int targets))
-      (Oracle.failure_to_string f)
-  | None -> ()
+  let outcomes = Oracle.run ~observe c steps subjects in
+  (match Oracle.first_failure outcomes with
+   | Some (s, f) ->
+     Alcotest.failf "seed %d: %s (targets %s): forced run diverges from reference: %s"
+       seed s
+       (String.concat "," (List.map string_of_int targets))
+       (Oracle.failure_to_string f)
+   | None -> ());
+  (* Forcible members leave the native sweep one by one: the counters and
+     hits of the activity engines must not notice. *)
+  if have_cc then
+    List.iter
+      (fun (name, _) ->
+        let what = Printf.sprintf "seed %d (forced)" seed in
+        check_counters_identical what outcomes name;
+        check_hits_identical what name)
+      (activity_engines `Closures)
 
 let test_force_torture () =
   for seed = 0 to 59 do
     torture_force_one ~seed
   done
+
+(* --- native sweep: yield to OCaml and resume in the same word ----------- *)
+
+(* Supernode 0 holds a forcible member between two native ones, and
+   supernode 1 (same active word) holds a gated, out-of-range-capable
+   memory read.  Under native gsim the sweep yields the forcible member
+   to OCaml and resumes in the same word; a resume that counted the
+   word's exam again would show in [exams]. *)
+let yield_circuit () =
+  let w = 8 in
+  let c = Circuit.create ~name:"yield" () in
+  let a = Circuit.add_input c ~name:"a" ~width:w in
+  let b = Circuit.add_input c ~name:"b" ~width:w in
+  let v (n : Circuit.node) = Expr.var ~width:w n.Circuit.id in
+  let add x y = Expr.unop (Expr.Extract (w - 1, 0)) (Expr.binop Expr.Add x y) in
+  let x1 = Circuit.add_logic c ~name:"x1" (add (v a) (Expr.of_int ~width:w 1)) in
+  let x2 = Circuit.add_logic c ~name:"x2" (Expr.binop Expr.Xor (v x1) (v b)) in
+  let x3 = Circuit.add_logic c ~name:"x3" (add (v x2) (Expr.of_int ~width:w 3)) in
+  let r = Circuit.add_register c ~name:"r" ~width:w ~init:(Bits.zero w) () in
+  let ra = Circuit.add_logic c ~name:"ra" (Expr.unop (Expr.Extract (2, 0)) (v a)) in
+  let ren = Circuit.add_logic c ~name:"ren" (Expr.unop (Expr.Extract (0, 0)) (v b)) in
+  let mem = Circuit.add_memory c ~name:"m" ~width:w ~depth:5 in
+  let rd = Circuit.add_read_port c ~mem ~name:"rd" ~addr:ra.Circuit.id ~en:ren.Circuit.id () in
+  let y =
+    Circuit.add_logic c ~name:"y"
+      (Expr.binop Expr.Xor (v rd)
+         (Expr.binop Expr.And (v x3) (Expr.var ~width:w r.Circuit.read)))
+  in
+  Circuit.set_next c r (add (v y) (v a));
+  let wa = Circuit.add_logic c ~name:"wa" (Expr.unop (Expr.Extract (2, 0)) (v b)) in
+  let one = Circuit.add_logic c ~name:"one" (Expr.of_int ~width:1 1) in
+  Circuit.add_write_port c ~mem ~addr:wa.Circuit.id ~data:x3.Circuit.id ~en:one.Circuit.id;
+  List.iter (Circuit.mark_output c) [ x3.Circuit.id; y.Circuit.id; r.Circuit.read ];
+  (* Members in evaluation order, as a partition requires. *)
+  let rank = Array.make (Circuit.max_id c) 0 in
+  Array.iteri (fun i id -> rank.(id) <- i) (Circuit.eval_order c);
+  let ids ns =
+    List.map (fun (n : Circuit.node) -> n.Circuit.id) ns
+    |> List.sort (fun x y -> compare rank.(x) rank.(y))
+    |> Array.of_list
+  in
+  let supernodes =
+    [| ids [ x1; x2; x3 ]; ids [ ra; ren; rd; wa; one ]; ids [ y ]; [| r.Circuit.next |] |]
+  in
+  let of_node = Array.make (Circuit.max_id c) (-1) in
+  Array.iteri (fun k members -> Array.iter (fun id -> of_node.(id) <- k) members) supernodes;
+  let part = { Partition.supernodes; of_node } in
+  Partition.validate c part;
+  (c, part, a.Circuit.id, b.Circuit.id, x2.Circuit.id)
+
+let test_sweep_yield_resume () =
+  skip_without_cc ();
+  let c, part, ia, ib, x2 = yield_circuit () in
+  let cycles = 16 in
+  let st = Random.State.make [| 4242 |] in
+  let steps =
+    Array.init cycles (fun i ->
+        {
+          Oracle.pokes =
+            [ (ia, Bits.random st ~width:8); (ib, Bits.random st ~width:8) ];
+          actions =
+            (if i = 4 then [ Oracle.Force { target = x2; mask = None; value = b ~w:8 0x5a } ]
+             else if i = 7 then
+               [ Oracle.Force { target = x2; mask = Some (b ~w:8 0x0f); value = b ~w:8 0x03 } ]
+             else if i = 10 then [ Oracle.Release x2 ]
+             else []);
+        })
+  in
+  let subject backend =
+    {
+      Oracle.subject_name = "gsim/" ^ Eval.to_string backend;
+      build =
+        activity_subject ~name:"gsim" ~backend ~forcible:[ x2 ] Activity.gsim_config
+          (fun _ -> part);
+    }
+  in
+  let observe = Circuit.fold_nodes c ~init:[] ~f:(fun acc n -> n.Circuit.id :: acc) in
+  let outcomes = Oracle.run ~observe c steps [ subject `Closures; subject `Native ] in
+  (match Oracle.first_failure outcomes with
+   | Some (s, f) -> Alcotest.failf "%s: %s" s (Oracle.failure_to_string f)
+   | None -> ());
+  let native = Hashtbl.find activity_built "gsim/native" in
+  Alcotest.(check string) "native ran" "native" (Activity.counters native).Counters.backend;
+  check_counters_identical "yield" outcomes "gsim";
+  check_hits_identical "yield" "gsim";
+  (* One word of supernodes: at most one word exam per sweep pass, so a
+     re-counted exam cannot hide in a second word. *)
+  Alcotest.(check bool) "single active word" true (Activity.supernode_count native <= 62)
 
 (* --- coverage databases must not depend on the backend ---------------- *)
 
@@ -449,6 +572,7 @@ let () =
           Alcotest.test_case "torture 120 random circuits" `Slow test_torture;
           Alcotest.test_case "force/release torture 60 circuits" `Slow test_force_torture;
           Alcotest.test_case "coverage identical" `Quick test_coverage_identical;
+          Alcotest.test_case "native sweep yields and resumes" `Quick test_sweep_yield_resume;
         ] );
       ( "cache",
         [ Alcotest.test_case "miss, hit, invalidation" `Quick test_cache_hit_and_invalidation ] );
