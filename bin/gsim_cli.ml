@@ -3,7 +3,7 @@
    Subcommands:
      stats   show IR statistics of a FIRRTL design, before and after opts,
              and what each optimization pass did and cost
-     emit    compile a FIRRTL design and emit C++ simulation code
+     emit    compile a FIRRTL design and emit C simulation code
      sim     simulate a FIRRTL design with pokes from the command line
      run     run a built-in workload on a built-in processor design     *)
 
@@ -182,7 +182,7 @@ let inject_arg =
   Arg.(value & opt_all string []
        & info [ "inject" ] ~docv:"KEY"
            ~doc:"Seed a primary-only fault (same KEY syntax as fault campaigns, e.g. \
-                 r#stuck1:0+100\\@50) — exercises detection and degradation")
+                 r#stuck1:0+100@50) — exercises detection and degradation")
 
 let incident_dir_arg =
   Arg.(value & opt (some string) None
@@ -318,9 +318,12 @@ let stats_cmd =
 (* --- emit ---------------------------------------------------------------- *)
 
 let emit_cmd =
-  let run file engine threads level max_supernode backend output =
+  let run file engine level max_supernode output =
     let circuit = (load_source file).Compile.circuit in
-    let config = config_of_engine engine threads max_supernode level backend in
+    let config =
+      config_of_engine engine 1 max_supernode level
+        (Gsim_engine.Eval.to_string Gsim_engine.Eval.default)
+    in
     let r = Gsim.emit_cpp config circuit in
     (match output with
      | Some path ->
@@ -333,11 +336,10 @@ let emit_cmd =
       r.Emit.emission_seconds r.Emit.code_bytes r.Emit.data_bytes r.Emit.mem_bytes
   in
   let output =
-    Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE.cpp")
+    Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE.c")
   in
-  Cmd.v (Cmd.info "emit" ~doc:"Emit C++ simulation code")
-    Term.(const run $ file_arg $ engine_arg $ threads_arg $ level_arg $ supernode_arg
-          $ backend_arg $ output)
+  Cmd.v (Cmd.info "emit" ~doc:"Emit C simulation code")
+    Term.(const run $ file_arg $ engine_arg $ level_arg $ supernode_arg $ output)
 
 (* --- emit-firrtl ----------------------------------------------------------- *)
 
@@ -842,7 +844,7 @@ let fault_campaign_cmd =
   let fault_keys =
     Arg.(value & opt_all string []
          & info [ "fault"; "f" ] ~docv:"KEY"
-             ~doc:"Inject a specific fault, e.g. cpu.pc#seu:3\\@120 (repeatable)")
+             ~doc:"Inject a specific fault, e.g. cpu.pc#seu:3@120 (repeatable)")
   in
   let pokes =
     Arg.(value & opt_all string []

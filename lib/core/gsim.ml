@@ -354,6 +354,8 @@ end
 let emit_cpp config circuit =
   let c = Circuit.copy circuit in
   ignore (Pipeline.optimize ~level:config.opt_level c);
+  (* Dense ids: the unit's narrow arena has one slot per id. *)
+  ignore (Circuit.compact c);
   let mode =
     match config.engine with
     | Reference_engine | Full_cycle_engine _ -> Gsim_emit.Emit.Full_cycle_mode

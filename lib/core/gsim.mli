@@ -178,4 +178,6 @@ module Compile : sig
 end
 
 val emit_cpp : config -> Circuit.t -> Gsim_emit.Emit.result
-(** Optimize per the config and emit C++ in the matching mode. *)
+(** Optimize per the config (on a copy, compacted) and emit the standalone
+    C unit in the matching mode; the backend and thread count play no
+    part. *)

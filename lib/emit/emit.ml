@@ -18,472 +18,291 @@ let mode_of_string = function
   | "gsim" -> Some Gsim_mode
   | _ -> None
 
-(* 32-bit limbs on the C++ side. *)
-let nlimbs w = (w + 31) / 32
+let bpf = Printf.bprintf
 
-let is_wide w = w > 64
+(* The artifact's own stores, after {!Emit_c.value_helpers}.  State lives
+   in the layout the lowering reads: narrow values in tagged [long] slots
+   [a[id]], wide values as raw limbs in [wf] at {!Emit_c.wide_offsets};
+   memories hold raw limbs, one row of [GSIM_NLIMBS(width)] per address. *)
+let store_helpers =
+  {|#include <stdbool.h>
 
-let preamble =
-  {cpp|// Generated by gsim. Self-contained compiled-simulation unit.
-#include <cstdint>
-#include <cstring>
+#define GSIM_TAG(v) ((long)(((uint64_t)(v) << 1) | 1))
+#define GSIM_WF(off) ((uint64_t *)wf + (off))
 
-namespace gsim {
-
-static inline uint64_t mask_of(int w) {
-  return w >= 64 ? ~0ull : ((1ull << w) - 1);
+/* Compare-store a narrow value; returns whether it changed. */
+static inline int gsim_put(long *p, uint64_t v) {
+  if (*p == GSIM_TAG(v)) return 0;
+  *p = GSIM_TAG(v);
+  return 1;
 }
-template <int W> static inline int64_t sext(uint64_t x) {
-  return (int64_t)(x << (64 - W)) >> (64 - W);
+/* Compare-store n limbs; returns whether any changed. */
+static inline int gsim_wput(uint64_t *p, const uint64_t *v, int n) {
+  int ch = 0;
+  for (int i = 0; i < n; i++)
+    if (p[i] != v[i]) { p[i] = v[i]; ch = 1; }
+  return ch;
 }
-static inline uint64_t div0(uint64_t a, uint64_t b) { return b ? a / b : 0; }
-static inline uint64_t rem0(uint64_t a, uint64_t b, uint64_t m) {
-  return (b ? a % b : a) & m;
-}
-template <int WA, int WB>
-static inline int64_t divs0(uint64_t a, uint64_t b) {
-  int64_t sb = sext<WB>(b);
-  return sb ? sext<WA>(a) / sb : 0;
-}
-template <int WA, int WB>
-static inline int64_t rems0(uint64_t a, uint64_t b) {
-  int64_t sb = sext<WB>(b);
-  return sb ? sext<WA>(a) % sb : sext<WA>(a);
-}
-static inline int popc(uint64_t x) { return __builtin_popcountll(x); }
-
-// Wide values: little-endian 32-bit limbs.
-template <int N> struct W {
-  uint32_t l[N];
-  bool operator==(const W &o) const {
-    for (int i = 0; i < N; i++) if (l[i] != o.l[i]) return false;
-    return true;
-  }
-  bool operator!=(const W &o) const { return !(*this == o); }
-};
-template <int N> static inline W<N> w_zero() { W<N> r{}; return r; }
-template <int N> static inline W<N> w_from_u64(uint64_t x) {
-  W<N> r{};
-  r.l[0] = (uint32_t)x;
-  if (N > 1) r.l[1] = (uint32_t)(x >> 32);
-  return r;
-}
-template <int N> static inline uint64_t w_to_u64(const W<N> &a) {
-  uint64_t r = a.l[0];
-  if (N > 1) r |= (uint64_t)a.l[1] << 32;
-  return r;
-}
-template <int NA, int NR> static inline W<NR> w_resize(const W<NA> &a, int w) {
-  W<NR> r{};
-  for (int i = 0; i < NR; i++) r.l[i] = i < NA ? a.l[i] : 0;
-  int top = w & 31;
-  if (top) r.l[NR - 1] &= (1u << top) - 1;
-  return r;
-}
-template <int N> static inline W<N> w_not(const W<N> &a, int w) {
-  W<N> r;
-  for (int i = 0; i < N; i++) r.l[i] = ~a.l[i];
-  int top = w & 31;
-  if (top) r.l[N - 1] &= (1u << top) - 1;
-  return r;
-}
-#define GSIM_WBIN(name, op)                                                 \
-  template <int N> static inline W<N> name(const W<N> &a, const W<N> &b) {  \
-    W<N> r;                                                                 \
-    for (int i = 0; i < N; i++) r.l[i] = a.l[i] op b.l[i];                  \
-    return r;                                                               \
-  }
-GSIM_WBIN(w_and, &)
-GSIM_WBIN(w_or, |)
-GSIM_WBIN(w_xor, ^)
-template <int N> static inline W<N> w_add(const W<N> &a, const W<N> &b, int w) {
-  W<N> r;
-  uint64_t carry = 0;
-  for (int i = 0; i < N; i++) {
-    uint64_t s = (uint64_t)a.l[i] + b.l[i] + carry;
-    r.l[i] = (uint32_t)s;
-    carry = s >> 32;
-  }
-  int top = w & 31;
-  if (top) r.l[N - 1] &= (1u << top) - 1;
-  return r;
-}
-template <int N> static inline W<N> w_sub(const W<N> &a, const W<N> &b, int w) {
-  W<N> nb = w_not(b, 32 * N);
-  W<N> one = w_from_u64<N>(1);
-  return w_add(w_add(a, nb, 32 * N), one, w);
-}
-template <int N> static inline int w_cmp(const W<N> &a, const W<N> &b) {
-  for (int i = N - 1; i >= 0; i--)
-    if (a.l[i] != b.l[i]) return a.l[i] < b.l[i] ? -1 : 1;
-  return 0;
-}
-template <int N> static inline bool w_nonzero(const W<N> &a) {
-  for (int i = 0; i < N; i++) if (a.l[i]) return true;
-  return false;
-}
-template <int NA, int NR>
-static inline W<NR> w_extract(const W<NA> &a, int hi, int lo) {
-  W<NR> r{};
-  for (int k = 0; k <= (hi - lo) / 32; k++) {
-    int base = lo / 32 + k, off = lo & 31;
-    uint64_t x = base < NA ? a.l[base] : 0;
-    if (off && base + 1 < NA) x |= (uint64_t)a.l[base + 1] << 32 >> off << off >> off;
-    r.l[k] = (uint32_t)((x >> off) | (off && base + 1 < NA ? (uint64_t)a.l[base + 1] << (32 - off) : 0));
-  }
-  int top = (hi - lo + 1) & 31;
-  if (top) r.l[NR - 1] &= (1u << top) - 1;
-  return r;
-}
-template <int NA, int NB, int NR>
-static inline W<NR> w_cat(const W<NA> &a, const W<NB> &b, int wb) {
-  W<NR> r{};
-  for (int i = 0; i < NB; i++) r.l[i] = b.l[i];
-  int base = wb / 32, off = wb & 31;
-  for (int i = 0; i < NA; i++) {
-    if (base + i < NR) r.l[base + i] |= a.l[i] << off;
-    if (off && base + i + 1 < NR) r.l[base + i + 1] |= a.l[i] >> (32 - off);
-  }
-  return r;
+/* Row ad of a memory of n-limb rows; zero when disabled or out of range. */
+static inline void gsim_mread(uint64_t *r, int n, const uint64_t *m,
+                              uint64_t ad, uint64_t depth, int en) {
+  for (int i = 0; i < n; i++) r[i] = en && ad < depth ? m[ad * n + i] : 0;
 }
 
-} // namespace gsim
-using namespace gsim;
+|}
 
-|cpp}
-
-(* ------------------------------------------------------------------ *)
-(* Expression generation                                               *)
-(* ------------------------------------------------------------------ *)
-
-let mask_lit w =
-  if w >= 64 then "~0ull" else Printf.sprintf "0x%Lxull" (Int64.sub (Int64.shift_left 1L w) 1L)
-
-let node_ref id = Printf.sprintf "n%d" id
-
-(* Generated C++ expression for [e]; narrow results are masked uint64_t,
-   wide results are W<nlimbs>.  [wof] gives the width of a node. *)
-let rec gen (wof : int -> int) (e : Expr.t) : string =
-  let w = Expr.width e in
-  match e.Expr.desc with
-  | Expr.Const b ->
-    if is_wide w then begin
-      let limbs =
-        List.init (nlimbs w) (fun i ->
-            let lo = i * 32 in
-            let hi = min (w - 1) (lo + 31) in
-            Printf.sprintf "0x%xu" (Bits.to_int_trunc (Bits.extract b ~hi ~lo)))
-      in
-      Printf.sprintf "W<%d>{{%s}}" (nlimbs w) (String.concat "," limbs)
-    end
-    else Printf.sprintf "0x%sull" (Bits.to_hex_string b)
-  | Expr.Var id -> node_ref id
-  | Expr.Unop (op, a) -> gen_unop wof w op a
-  | Expr.Binop (op, a, b) -> gen_binop wof w op a b
-  | Expr.Mux (s, a, b) ->
-    let test =
-      if is_wide (Expr.width s) then Printf.sprintf "w_nonzero(%s)" (gen wof s)
-      else Printf.sprintf "(%s != 0)" (gen wof s)
-    in
-    Printf.sprintf "(%s ? %s : %s)" test (gen wof a) (gen wof b)
-
-and as_wide wof n e =
-  (* [e] as a W<n> value. *)
-  let we = Expr.width e in
-  let s = gen wof e in
-  if is_wide we then
-    if nlimbs we = n then s
-    else Printf.sprintf "w_resize<%d,%d>(%s, %d)" (nlimbs we) n s (min we (n * 32))
-  else Printf.sprintf "w_from_u64<%d>(%s)" n s
-
-and gen_unop wof w op a =
-  let wa = Expr.width a in
-  if is_wide w || is_wide wa then gen_unop_wide wof w op a
-  else begin
-    let sa = gen wof a in
-    match op with
-    | Expr.Not -> Printf.sprintf "(~%s & %s)" sa (mask_lit w)
-    | Expr.Neg -> Printf.sprintf "((0 - %s) & %s)" sa (mask_lit w)
-    | Expr.Reduce_and -> Printf.sprintf "(uint64_t)(%s == %s)" sa (mask_lit wa)
-    | Expr.Reduce_or -> Printf.sprintf "(uint64_t)(%s != 0)" sa
-    | Expr.Reduce_xor -> Printf.sprintf "(uint64_t)(popc(%s) & 1)" sa
-    | Expr.Shl_const n -> Printf.sprintf "(%s << %d)" sa n
-    | Expr.Shr_const n -> Printf.sprintf "(%s >> %d)" sa n
-    | Expr.Extract (hi, lo) ->
-      Printf.sprintf "((%s >> %d) & %s)" sa lo (mask_lit (hi - lo + 1))
-    | Expr.Pad_unsigned n ->
-      if n >= wa then sa else Printf.sprintf "(%s & %s)" sa (mask_lit n)
-    | Expr.Pad_signed n ->
-      Printf.sprintf "((uint64_t)sext<%d>(%s) & %s)" wa sa (mask_lit n)
-  end
-
-and gen_unop_wide wof w op a =
-  let wa = Expr.width a in
-  let na = nlimbs wa and nr = nlimbs w in
-  match op with
-  | Expr.Not -> Printf.sprintf "w_not(%s, %d)" (as_wide wof na a) w
-  | Expr.Reduce_and ->
-    Printf.sprintf "(uint64_t)(w_cmp(%s, w_not(w_zero<%d>(), %d)) == 0)" (as_wide wof na a)
-      na wa
-  | Expr.Reduce_or -> Printf.sprintf "(uint64_t)w_nonzero(%s)" (as_wide wof na a)
-  | Expr.Reduce_xor ->
-    (* Bit parity over limbs. *)
-    Printf.sprintf "(uint64_t)(w_parity<%d>(%s))" na (as_wide wof na a)
-  | Expr.Extract (hi, lo) ->
-    if is_wide w then
-      Printf.sprintf "w_extract<%d,%d>(%s, %d, %d)" na nr (as_wide wof na a) hi lo
-    else
-      Printf.sprintf "w_to_u64<%d>(w_extract<%d,%d>(%s, %d, %d))"
-        (nlimbs (hi - lo + 1)) na (nlimbs (hi - lo + 1)) (as_wide wof na a) hi lo
-  | Expr.Pad_unsigned _ | Expr.Pad_signed _ ->
-    if is_wide w then Printf.sprintf "w_resize<%d,%d>(%s, %d)" na nr (as_wide wof na a) w
-    else Printf.sprintf "(w_to_u64<%d>(%s) & %s)" na (as_wide wof na a) (mask_lit w)
-  | Expr.Neg | Expr.Shl_const _ | Expr.Shr_const _ ->
-    (* Rare on wide paths after optimization: lower through resize/extract
-       helpers generically. *)
-    Printf.sprintf "w_generic_unop<%d,%d>(%s /* %s */)" na nr (as_wide wof na a)
-      (Format.asprintf "%a" Expr.pp_unop op)
-
-and gen_binop wof w op a b =
-  let wa = Expr.width a and wb = Expr.width b in
-  if is_wide w || is_wide wa || is_wide wb then gen_binop_wide wof w op a b
-  else begin
-    let sa = gen wof a and sb = gen wof b in
-    let m = mask_lit w in
-    match op with
-    | Expr.Add -> Printf.sprintf "((%s + %s) & %s)" sa sb m
-    | Expr.Sub -> Printf.sprintf "((%s - %s) & %s)" sa sb m
-    | Expr.Mul -> Printf.sprintf "(%s * %s)" sa sb
-    | Expr.Div -> Printf.sprintf "div0(%s, %s)" sa sb
-    | Expr.Div_signed ->
-      Printf.sprintf "((uint64_t)divs0<%d,%d>(%s, %s) & %s)" wa wb sa sb m
-    | Expr.Rem -> Printf.sprintf "rem0(%s, %s, %s)" sa sb m
-    | Expr.Rem_signed ->
-      Printf.sprintf "((uint64_t)rems0<%d,%d>(%s, %s) & %s)" wa wb sa sb m
-    | Expr.And -> Printf.sprintf "(%s & %s)" sa sb
-    | Expr.Or -> Printf.sprintf "(%s | %s)" sa sb
-    | Expr.Xor -> Printf.sprintf "(%s ^ %s)" sa sb
-    | Expr.Cat -> Printf.sprintf "((%s << %d) | %s)" sa wb sb
-    | Expr.Eq -> Printf.sprintf "(uint64_t)(%s == %s)" sa sb
-    | Expr.Neq -> Printf.sprintf "(uint64_t)(%s != %s)" sa sb
-    | Expr.Lt -> Printf.sprintf "(uint64_t)(%s < %s)" sa sb
-    | Expr.Leq -> Printf.sprintf "(uint64_t)(%s <= %s)" sa sb
-    | Expr.Gt -> Printf.sprintf "(uint64_t)(%s > %s)" sa sb
-    | Expr.Geq -> Printf.sprintf "(uint64_t)(%s >= %s)" sa sb
-    | Expr.Lt_signed ->
-      Printf.sprintf "(uint64_t)(sext<%d>(%s) < sext<%d>(%s))" wa sa wb sb
-    | Expr.Leq_signed ->
-      Printf.sprintf "(uint64_t)(sext<%d>(%s) <= sext<%d>(%s))" wa sa wb sb
-    | Expr.Gt_signed ->
-      Printf.sprintf "(uint64_t)(sext<%d>(%s) > sext<%d>(%s))" wa sa wb sb
-    | Expr.Geq_signed ->
-      Printf.sprintf "(uint64_t)(sext<%d>(%s) >= sext<%d>(%s))" wa sa wb sb
-    | Expr.Dshl ->
-      Printf.sprintf "({ uint64_t s_ = %s; s_ >= %d ? 0 : (%s << s_) & %s; })" sb wa sa m
-    | Expr.Dshr -> Printf.sprintf "({ uint64_t s_ = %s; s_ >= %d ? 0 : %s >> s_; })" sb wa sa
-    | Expr.Dshr_signed ->
-      Printf.sprintf
-        "({ uint64_t s_ = %s; (uint64_t)(s_ >= %d ? sext<%d>(%s) >> %d : sext<%d>(%s) >> s_) & %s; })"
-        sb wa wa sa (wa - 1) wa sa m
-  end
-
-and gen_binop_wide wof w op a b =
-  let n = nlimbs (max (Expr.width a) (max (Expr.width b) w)) in
-  let nr = nlimbs w in
-  let sa = as_wide wof n a and sb = as_wide wof n b in
-  let fit s = if nr = n then s else Printf.sprintf "w_resize<%d,%d>(%s, %d)" n nr s w in
-  match op with
-  | Expr.And -> fit (Printf.sprintf "w_and(%s, %s)" sa sb)
-  | Expr.Or -> fit (Printf.sprintf "w_or(%s, %s)" sa sb)
-  | Expr.Xor -> fit (Printf.sprintf "w_xor(%s, %s)" sa sb)
-  | Expr.Add -> fit (Printf.sprintf "w_add(%s, %s, %d)" sa sb (min w (n * 32)))
-  | Expr.Sub -> fit (Printf.sprintf "w_sub(%s, %s, %d)" sa sb (min w (n * 32)))
-  | Expr.Eq -> Printf.sprintf "(uint64_t)(w_cmp(%s, %s) == 0)" sa sb
-  | Expr.Neq -> Printf.sprintf "(uint64_t)(w_cmp(%s, %s) != 0)" sa sb
-  | Expr.Lt -> Printf.sprintf "(uint64_t)(w_cmp(%s, %s) < 0)" sa sb
-  | Expr.Leq -> Printf.sprintf "(uint64_t)(w_cmp(%s, %s) <= 0)" sa sb
-  | Expr.Gt -> Printf.sprintf "(uint64_t)(w_cmp(%s, %s) > 0)" sa sb
-  | Expr.Geq -> Printf.sprintf "(uint64_t)(w_cmp(%s, %s) >= 0)" sa sb
-  | Expr.Cat ->
-    Printf.sprintf "w_cat<%d,%d,%d>(%s, %s, %d)" (nlimbs (Expr.width a))
-      (nlimbs (Expr.width b)) nr
-      (as_wide wof (nlimbs (Expr.width a)) a)
-      (as_wide wof (nlimbs (Expr.width b)) b)
-      (Expr.width b)
-  | Expr.Mul | Expr.Div | Expr.Div_signed | Expr.Rem | Expr.Rem_signed
-  | Expr.Lt_signed | Expr.Leq_signed | Expr.Gt_signed | Expr.Geq_signed
-  | Expr.Dshl | Expr.Dshr | Expr.Dshr_signed ->
-    fit
-      (Printf.sprintf "w_generic_binop<%d>(%s, %s /* %s */)" n sa sb
-         (Format.asprintf "%a" Expr.pp_binop op))
-
-(* ------------------------------------------------------------------ *)
-(* Unit generation                                                     *)
-(* ------------------------------------------------------------------ *)
-
-let cpp_type w = if is_wide w then Printf.sprintf "W<%d>" (nlimbs w) else "uint64_t"
+let header mode c =
+  let port kind (n : Circuit.node) =
+    Printf.sprintf " *   %s %s: id %d, %d bits\n" kind n.Circuit.name n.Circuit.id n.Circuit.width
+  in
+  Printf.sprintf
+    "/* Generated by gsim: %s unit for design %s.\n\
+    \ * gsim_poke(id, v) sets an input, gsim_peek(id, v) reads any node (v: 64-bit\n\
+    \ * limbs, low first); gsim_cycle() runs gsim_eval() then gsim_commit().\n%s */\n"
+    (match mode with
+     | Full_cycle_mode -> "full-cycle"
+     | Essent_mode -> "ESSENT-style"
+     | Gsim_mode -> "GSIM-style")
+    (Circuit.name c)
+    (String.concat ""
+       (List.map (port "input") (Circuit.inputs c) @ List.map (port "output") (Circuit.outputs c)))
 
 let emit ?(mode = Full_cycle_mode) ?partition c =
   let t0 = Sys.time () in
-  let buf = Buffer.create (64 * 1024) in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  let wof id = (Circuit.node c id).Circuit.width in
   let part =
     match (mode, partition) with
     | Full_cycle_mode, _ -> None
-    | (Essent_mode | Gsim_mode), Some p -> Some p
-    | (Essent_mode | Gsim_mode), None -> Some (Partition.gsim c ~max_size:32)
+    | _, Some p -> Some p
+    | _, None -> Some (Partition.gsim c ~max_size:32)
   in
-  add "// design: %s\nstruct Design {\n" (Circuit.name c);
-  (* State declarations. *)
-  Circuit.iter_nodes c (fun n ->
-      add "  %s n%d{}; // %s (w=%d)\n" (cpp_type n.Circuit.width) n.Circuit.id
-        n.Circuit.name n.Circuit.width);
+  (* With no evaluated node there is nothing to schedule. *)
+  let part = Option.bind part (fun p -> if p.Partition.supernodes = [||] then None else Some p) in
+  let nsuper = match part with Some p -> Array.length p.Partition.supernodes | None -> 0 in
+  let nwords = (nsuper + 63) / 64 in
+  let woff, wtotal = Emit_c.wide_offsets c in
+  let width id = (Circuit.node c id).Circuit.width in
+  let wide id = not (Bits.fits_int (width id)) in
+  let nl id = Emit_c.nl (width id) in
+  let succs = Circuit.successors c in
+  let b = Buffer.create (64 * 1024) in
+  (* Activation: the statements that wake the target supernodes. *)
+  let wake ?exclude ids =
+    match part with
+    | None -> []
+    | Some p ->
+      let targets = Array.to_list (Partition.target_supers p ?exclude ids) in
+      if mode = Essent_mode then List.map (Printf.sprintf "act[%d] = 1;") targets
+      else
+        List.fold_right
+          (fun k acc ->
+            let w = k / 64 and bit = Int64.shift_left 1L (k mod 64) in
+            match acc with
+            | (w', m) :: rest when w' = w -> (w, Int64.logor m bit) :: rest
+            | _ -> (w, bit) :: acc)
+          targets []
+        |> List.map (fun (w, m) -> Printf.sprintf "actw[%d] |= 0x%Lxull;" w m)
+  in
+  (* A compare-store (a C condition, true on change) guarding activation. *)
+  let stmt store acts =
+    match acts with
+    | [] -> bpf b "  %s;\n" store
+    | [ act ] -> bpf b "  if (%s) %s\n" store act
+    | acts -> bpf b "  if (%s) { %s }\n" store (String.concat " " acts)
+  in
+  let store id = function
+    | Emit_c.N x -> Printf.sprintf "gsim_put(a + %d, %s)" id x
+    | Emit_c.W t -> Printf.sprintf "gsim_wput(GSIM_WF(%d), %s, %d)" woff.(id) t (nl id)
+  in
+  (* Node [id] takes the value [lower ()] writes into a block of its own. *)
+  let block id acts lower =
+    Buffer.add_string b "  {\n";
+    stmt (store id (lower ())) acts;
+    Buffer.add_string b "  }\n"
+  in
+  let expr e () = Emit_c.emit_expr b ~param:string_of_int ~woff e in
+  let value id = Printf.sprintf "(uint64_t)(a[%d] >> 1)" id in
+  let nonzero id =
+    if wide id then Printf.sprintf "!gsim_wiszero(GSIM_WF(%d), %d)" woff.(id) (nl id)
+    else Printf.sprintf "(a[%d] >> 1)" id
+  in
+  (* [Bits.to_int_trunc]: the low 62 bits. *)
+  let address id =
+    if wide id then Printf.sprintf "(GSIM_WF(%d)[0] & GSIM_MASK(62))" woff.(id) else value id
+  in
+  let eval_node ~acts (nd : Circuit.node) =
+    let id = nd.Circuit.id in
+    match (nd.Circuit.kind, nd.Circuit.expr) with
+    | (Circuit.Logic | Circuit.Reg_next _), Some e ->
+      if not (Emit_c.compilable c nd) then
+        invalid_arg
+          (Printf.sprintf "Emit.emit: node %S has a subexpression outside 1..%d bits"
+             nd.Circuit.name Emit_c.wide_max);
+      block id acts (expr e)
+    | Circuit.Mem_read pi, _ ->
+      let p = Circuit.read_port c pi in
+      block id acts (fun () ->
+          bpf b "  uint64_t r[%d];\n  gsim_mread(r, %d, m%d, %s, %d, %s);\n" (nl id) (nl id)
+            p.Circuit.r_mem (address p.Circuit.r_addr)
+            (Circuit.memory c p.Circuit.r_mem).Circuit.depth
+            (match p.Circuit.r_en with Some en -> nonzero en | None -> "1");
+          if wide id then Emit_c.W "r" else Emit_c.N "r[0]")
+    | _ -> invalid_arg "Emit.emit: not an evaluated node"
+  in
+  (* State: nonzero register initial values are the only nonzero cells (a
+     zero narrow slot reads as 0, like a tagged one). *)
+  let regs = Circuit.registers c in
+  let wide_regs, narrow_regs = List.partition (fun (r : Circuit.register) -> wide r.read) regs in
+  let init cells = match cells with [] -> "" | l -> " = { " ^ String.concat ", " l ^ " }" in
+  bpf b "static long a[%d]%s;\n" (max (Circuit.max_id c) 1)
+    (init
+       (List.filter_map
+          (fun (r : Circuit.register) ->
+            match Bits.to_packed r.init with
+            | 0 -> None
+            | v -> Some (Printf.sprintf "[%d] = GSIM_TAG(%d)" r.read v))
+          narrow_regs));
+  bpf b "static long wf[%d]%s;\n" (max wtotal 1)
+    (init
+       (List.concat_map
+          (fun (r : Circuit.register) ->
+            List.init (nl r.read) (fun i -> (woff.(r.read) + i, Bits.limb64 r.init i))
+            |> List.filter_map (fun (at, l) ->
+                   if l = 0L then None
+                   else Some (Printf.sprintf "[%d] = (long)UINT64_C(%Lu)" at l)))
+          wide_regs));
+  let mems = Circuit.memories c in
   Array.iteri
     (fun mi (m : Circuit.memory) ->
-      add "  %s mem%d[%d]{}; // %s\n" (cpp_type m.Circuit.mem_width) mi m.Circuit.depth
-        m.Circuit.mem_name)
-    (Circuit.memories c);
-  (match part with
-   | Some p when mode = Gsim_mode ->
-     add "  uint64_t actw[%d];\n" ((Array.length p.Partition.supernodes + 61) / 62)
-   | Some p -> add "  bool act[%d];\n" (Array.length p.Partition.supernodes)
-   | None -> ());
-  (* Node evaluation statement. *)
-  let eval_stmt ~track (n : Circuit.node) =
-    let rhs =
-      match n.Circuit.kind with
-      | Circuit.Logic | Circuit.Reg_next _ ->
-        (match n.Circuit.expr with Some e -> gen wof e | None -> assert false)
-      | Circuit.Mem_read pi ->
-        let p = Circuit.read_port c pi in
-        let mem = p.Circuit.r_mem in
-        let depth = (Circuit.memory c mem).Circuit.depth in
-        let en =
-          match p.Circuit.r_en with
-          | Some en -> Printf.sprintf "n%d && " en
-          | None -> ""
-        in
-        Printf.sprintf "(%sn%d < %d) ? mem%d[n%d] : %s" en p.Circuit.r_addr depth mem
-          p.Circuit.r_addr
-          (if is_wide (wof p.Circuit.r_data) then
-             Printf.sprintf "w_zero<%d>()" (nlimbs (wof p.Circuit.r_data))
-           else "0")
-      | Circuit.Input | Circuit.Reg_read _ -> assert false
-    in
-    match (track, part) with
-    | Some activate, Some _ ->
-      add "    { %s v_ = %s; if (v_ != n%d) { n%d = v_; %s } }\n" (cpp_type n.Circuit.width)
-        rhs n.Circuit.id n.Circuit.id activate
-    | _ -> add "    n%d = %s;\n" n.Circuit.id rhs
-  in
+      bpf b "static uint64_t m%d[%d];\n" mi (m.Circuit.depth * Emit_c.nl m.Circuit.mem_width))
+    mems;
   (match part with
    | None ->
-     add "  void eval() {\n";
-     Array.iter (fun id -> eval_stmt ~track:None (Circuit.node c id)) (Circuit.eval_order c);
-     add "  }\n"
+     Buffer.add_string b "void gsim_eval(void) {\n";
+     Array.iter (fun id -> eval_node ~acts:[] (Circuit.node c id)) (Circuit.eval_order c);
+     Buffer.add_string b "}\n"
    | Some p ->
-     let succs = Circuit.successors c in
-     let activation id k =
-       let targets =
-         List.sort_uniq compare
-           (List.filter_map
-              (fun s ->
-                let t = p.Partition.of_node.(s) in
-                if t >= 0 && t <> k then Some t else None)
-              succs.(id))
-       in
-       String.concat " "
-         (List.map
-            (fun t ->
-              if mode = Gsim_mode then
-                Printf.sprintf "actw[%d] |= 1ull<<%d;" (t / 62) (t mod 62)
-              else Printf.sprintf "act[%d] = true;" t)
-            targets)
-     in
+     (* Every supernode starts active. *)
+     if mode = Gsim_mode then
+       bpf b "static uint64_t actw[%d] = { %s };\n" nwords
+         (String.concat ", "
+            (List.init nwords (fun i ->
+                 let bits = min 64 (nsuper - (64 * i)) in
+                 if bits = 64 then "~0ull"
+                 else Printf.sprintf "0x%Lxull" (Int64.pred (Int64.shift_left 1L bits)))))
+     else bpf b "static bool act[%d] = { [0 ... %d] = 1 };\n" nsuper (nsuper - 1);
      Array.iteri
        (fun k members ->
-         add "  void eval_super%d() {\n" k;
+         bpf b "static void eval_super%d(void) {\n" k;
          Array.iter
-           (fun id -> eval_stmt ~track:(Some (activation id k)) (Circuit.node c id))
+           (fun id -> eval_node ~acts:(wake ~exclude:k succs.(id)) (Circuit.node c id))
            members;
-         add "  }\n")
+         Buffer.add_string b "}\n")
        p.Partition.supernodes;
-     add "  void eval() {\n";
-     (if mode = Gsim_mode then begin
-        let nwords = (Array.length p.Partition.supernodes + 61) / 62 in
-        add "    for (int w_ = 0; w_ < %d; w_++) {\n" nwords;
-        add "      while (uint64_t x_ = actw[w_]) {\n";
-        add "        int b_ = __builtin_ctzll(x_); actw[w_] &= ~(1ull << b_);\n";
-        add "        dispatch(w_ * 62 + b_);\n      }\n    }\n"
-      end
-      else begin
-        add "    for (int k_ = 0; k_ < %d; k_++)\n" (Array.length p.Partition.supernodes);
-        add "      if (act[k_]) { act[k_] = false; dispatch(k_); }\n"
-      end);
-     add "  }\n  void dispatch(int k_) {\n    switch (k_) {\n";
-     Array.iteri (fun k _ -> add "    case %d: eval_super%d(); break;\n" k k)
-       p.Partition.supernodes;
-     add "    }\n  }\n");
-  (* Commit: memory writes, register latching, slow-path resets. *)
-  add "  void commit() {\n";
+     bpf b "static void (*const gsim_super[%d])(void) = { %s };\n" nsuper
+       (String.concat ", " (List.init nsuper (Printf.sprintf "eval_super%d")));
+     (* A single ascending sweep suffices: partitions are schedulable. *)
+     if mode = Gsim_mode then
+       bpf b
+         "void gsim_eval(void) {\n\
+         \  for (int w = 0; w < %d; w++)\n\
+         \    while (actw[w]) {\n\
+         \      int k = w * 64 + __builtin_ctzll(actw[w]);\n\
+         \      actw[w] &= actw[w] - 1;\n\
+         \      gsim_super[k]();\n\
+         \    }\n\
+          }\n"
+         nwords
+     else
+       bpf b
+         "void gsim_eval(void) {\n\
+         \  for (int k = 0; k < %d; k++)\n\
+         \    if (act[k]) { act[k] = 0; gsim_super[k](); }\n\
+          }\n"
+         nsuper);
+  (* Commit, as the reference orders it: memory writes read this cycle's
+     values, then registers latch, then slow-path resets override. *)
+  Buffer.add_string b "void gsim_commit(void) {\n";
   Array.iteri
     (fun mi (m : Circuit.memory) ->
+      let n = Emit_c.nl m.Circuit.mem_width in
       List.iter
         (fun (wp : Circuit.write_port) ->
-          add "    if (n%d && n%d < %d) mem%d[n%d] = n%d;\n" wp.w_en wp.w_addr m.Circuit.depth
-            mi wp.w_addr wp.w_data)
+          let ad = address wp.w_addr in
+          let data =
+            if wide wp.w_data then Printf.sprintf "GSIM_WF(%d)" woff.(wp.w_data)
+            else Printf.sprintf "(uint64_t[]){ %s }" (value wp.w_data)
+          in
+          stmt
+            (Printf.sprintf "%s && %s < %d && gsim_wput(m%d + %s * %d, %s, %d)" (nonzero wp.w_en)
+               ad m.Circuit.depth mi ad n data n)
+            (wake m.Circuit.read_port_ids))
         m.Circuit.write_ports)
-    (Circuit.memories c);
+    mems;
   List.iter
     (fun (r : Circuit.register) ->
-      add "    n%d = n%d;\n" r.Circuit.read r.Circuit.next)
-    (Circuit.registers c);
-  let reset_groups = Hashtbl.create 8 in
+      stmt
+        (if wide r.read then
+           Printf.sprintf "gsim_wput(GSIM_WF(%d), GSIM_WF(%d), %d)" woff.(r.read) woff.(r.next)
+             (nl r.read)
+         else Printf.sprintf "gsim_put(a + %d, a[%d] >> 1)" r.read r.next)
+        (wake succs.(r.read)))
+    regs;
+  (* One test per reset signal. *)
+  let resets =
+    List.filter_map
+      (fun (r : Circuit.register) ->
+        match r.reset with
+        | Some rst when rst.Circuit.slow_path -> Some (rst, r.read)
+        | Some _ | None -> None)
+      regs
+  in
+  List.sort_uniq compare (List.map (fun (rst, _) -> rst.Circuit.reset_signal) resets)
+  |> List.iter (fun s ->
+         bpf b "  if (%s) {\n" (nonzero s);
+         List.iter
+           (fun ((rst : Circuit.reset), id) ->
+             if rst.reset_signal = s then
+               block id (wake succs.(id)) (expr (Expr.const rst.reset_value)))
+           resets;
+         Buffer.add_string b "  }\n");
+  Buffer.add_string b "}\n";
+  (* Inputs wake their consumers. *)
+  Buffer.add_string b "void gsim_poke(long id, const uint64_t *v) {\n  switch (id) {\n";
   List.iter
-    (fun (r : Circuit.register) ->
-      match r.Circuit.reset with
-      | Some rst when rst.Circuit.slow_path ->
-        Hashtbl.replace reset_groups rst.Circuit.reset_signal
-          (r :: (try Hashtbl.find reset_groups rst.Circuit.reset_signal with Not_found -> []))
-      | Some _ | None -> ())
-    (Circuit.registers c);
-  Hashtbl.iter
-    (fun sig_id regs ->
-      add "    if (n%d) {\n" sig_id;
-      List.iter
-        (fun (r : Circuit.register) ->
-          match r.Circuit.reset with
-          | Some rst ->
-            add "      n%d = %s;\n" r.Circuit.read
-              (gen wof (Expr.const rst.Circuit.reset_value))
-          | None -> ())
-        regs;
-      add "    }\n")
-    reset_groups;
-  add "  }\n  void cycle() { eval(); commit(); }\n};\n";
-  let body = Buffer.contents buf in
-  let source = preamble ^ body in
-  (* Data size: node state plus active bits, memories separate (the paper
-     excludes the main memory array). *)
+    (fun (n : Circuit.node) ->
+      let id = n.Circuit.id and w = n.Circuit.width in
+      bpf b "  case %d:\n" id;
+      block id (wake succs.(id)) (fun () ->
+          if wide id then begin
+            bpf b "  uint64_t r[%d];\n  gsim_wresize(r, %d, %d, v, %d);\n" (nl id) (nl id) w
+              (nl id);
+            Emit_c.W "r"
+          end
+          else Emit_c.N (Printf.sprintf "v[0] & GSIM_MASK(%d)" w));
+      Buffer.add_string b "  break;\n")
+    (Circuit.inputs c);
+  Buffer.add_string b "  }\n}\nvoid gsim_peek(long id, uint64_t *v) {\n  switch (id) {\n";
+  Circuit.iter_nodes c (fun n ->
+      let id = n.Circuit.id in
+      if wide id then bpf b "  case %d: gsim_wload(v, %d, wf, %d); return;\n" id (nl id) woff.(id));
+  Buffer.add_string b
+    "  }\n\
+    \  v[0] = (uint64_t)(a[id] >> 1);\n\
+     }\n\
+     void gsim_cycle(void) {\n\
+    \  gsim_eval();\n\
+    \  gsim_commit();\n\
+     }\n";
+  let body = Buffer.contents b in
   let data_bytes =
-    Circuit.fold_nodes c ~init:0 ~f:(fun acc n ->
-        acc + if is_wide n.Circuit.width then 4 * nlimbs n.Circuit.width else 8)
-    + (match part with
-       | Some p when mode = Gsim_mode -> 8 * ((Array.length p.Partition.supernodes + 61) / 62)
-       | Some p -> Array.length p.Partition.supernodes
-       | None -> 0)
+    (8 * (max (Circuit.max_id c) 1 + max wtotal 1))
+    + match part with None -> 0 | Some _ when mode = Gsim_mode -> 8 * nwords | Some _ -> nsuper
   in
-  let mem_bytes =
-    Array.fold_left
-      (fun acc (m : Circuit.memory) ->
-        acc + (m.Circuit.depth * if is_wide m.Circuit.mem_width then 4 * nlimbs m.Circuit.mem_width else 8))
-      0 (Circuit.memories c)
-  in
+  let mem_bytes (m : Circuit.memory) = 8 * m.depth * Emit_c.nl m.mem_width in
   {
-    source;
+    source = header mode c ^ Emit_c.value_helpers ^ store_helpers ^ body;
     emission_seconds = Sys.time () -. t0;
     code_bytes = String.length body;
     data_bytes;
-    mem_bytes;
+    mem_bytes = Array.fold_left (fun acc m -> acc + mem_bytes m) 0 mems;
   }

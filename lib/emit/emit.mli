@@ -1,20 +1,22 @@
-(** C++ code emission.
+(** Standalone C simulation units ([gsim emit], Table IV).
 
-    Mirrors the paper's backend: the optimized graph is emitted as a
-    self-contained C++ translation unit.  Values up to 64 bits are plain
-    [uint64_t]; wider signals use the [Wide<N>] limb template from the
-    embedded runtime preamble.  Three emission modes reproduce the
-    simulator families compared in Table IV:
+    Every node is rendered through {!Emit_c.emit_expr}, the native
+    backend's lowering, over its value layout; this module adds only the
+    scheduling of the three simulator families Table IV compares:
 
-    - {!Full_cycle_mode} (Verilator/Arcilator shape): one [eval()] that
-      computes every node in topological order;
-    - {!Essent_mode}: per-partition functions guarded by active flags;
-    - {!Gsim_mode}: supernode functions with word-packed active bits and
-      slow-path reset handling.
+    - {!Full_cycle_mode} (Verilator/Arcilator): one [gsim_eval()]
+      computing every node in topological order;
+    - {!Essent_mode}: supernode functions behind [bool] active flags;
+    - {!Gsim_mode}: supernode functions behind word-packed active bits,
+      dispatched by count-trailing-zeros.
 
-    The emitted source is an artifact (written by the CLI, measured by the
-    resource bench); this repository's engines execute the same graph via
-    closure compilation instead of a C++ toolchain. *)
+    In the partitioned modes every supernode starts active, and a changed
+    value — computed, committed ([gsim_commit()]: memory writes, register
+    latches, slow-path resets) or poked ([gsim_poke(id, limbs)]) — wakes
+    the supernodes of its consumers, the sets the activity engines use.
+    [gsim_peek(id, limbs)] reads any node; [gsim_cycle()] runs
+    [gsim_eval()] then [gsim_commit()].  Like the native unit, the source
+    needs a GNU C compiler (gcc or clang). *)
 
 open Gsim_ir
 
@@ -23,13 +25,17 @@ type mode = Full_cycle_mode | Essent_mode | Gsim_mode
 type result = {
   source : string;
   emission_seconds : float;
-  code_bytes : int;   (** bytes of generated code (the .text proxy) *)
+  code_bytes : int;
+      (** bytes of generated code after the fixed helper preamble (the
+          .text proxy) *)
   data_bytes : int;   (** bytes of simulation state, memories excluded *)
   mem_bytes : int;
 }
 
 val emit : ?mode:mode -> ?partition:Gsim_partition.Partition.t -> Circuit.t -> result
 (** [Essent_mode]/[Gsim_mode] require a partition (defaults to
-    {!Gsim_partition.Partition.gsim} with max size 32). *)
+    {!Gsim_partition.Partition.gsim} with max size 32).  Raises
+    [Invalid_argument] naming the node when a node has a subexpression
+    {!Emit_c.emit_expr} cannot lower (wider than {!Emit_c.wide_max}). *)
 
 val mode_of_string : string -> mode option

@@ -13,12 +13,7 @@ let abi_version = 2
    Real datapaths sit far below it; anything wider keeps its closure. *)
 let wide_max = 2048
 
-(* A node is emitted when it is a [Logic]/[Reg_next] expression node and
-   every subexpression width lies in [1, wide_max].  Narrow
-   subexpressions (<= 62 bits) evaluate as plain uint64_t with the
-   packed-int interpreters' semantics; wider ones as little-endian
-   64-bit limb arrays matching [Bits.t] value for value.  Memory reads
-   keep their closure evaluators. *)
+(* Every subexpression width lies in [1, wide_max]. *)
 let rec expr_supported c (e : Expr.t) =
   let w = Expr.width e in
   w >= 1 && w <= wide_max
@@ -451,7 +446,9 @@ let emit_node b shapes ~woff (nd : Circuit.node) =
   bpf b "  return %s(a, wf, wd, K);\n" shape;
   Buffer.add_string b "}\n\n"
 
-let preamble =
+(* The native preamble, in order; {!Emit} shares [value_helpers], the
+   parts that do not concern the boxed [Bits.t] arena. *)
+let native_header =
   {|/* Generated by gsim's native backend.  Do not edit.
  *
  * ABI v2: each function takes the simulator's three value arenas
@@ -474,7 +471,10 @@ let preamble =
  * for value (including every normalization point) on a 64-bit limb
  * representation.
  */
-#include <stdint.h>
+|}
+
+let scalar_helpers =
+  {|#include <stdint.h>
 
 #define GSIM_MASK(w) ((UINT64_C(1) << (w)) - 1)
 
@@ -494,7 +494,10 @@ static inline uint64_t gsim_rems(int64_t x, int64_t y) {
   return y == 0 ? (uint64_t)x : (uint64_t)(x % y);
 }
 
-/* ---- wide values: raw little-endian 64-bit limbs.
+|}
+
+let boxed_note =
+  {|/* ---- wide values: raw little-endian 64-bit limbs.
  *
  * This is the native representation only: the flat mirror arena and
  * every in-function temporary hold full 64-bit limbs with no tag bits.
@@ -502,7 +505,10 @@ static inline uint64_t gsim_rems(int64_t x, int64_t y) {
  * translates on the way out (and Bits.limb64 on the way in). */
 
 #define GSIM_LIMB31_MASK UINT64_C(0x7FFFFFFF)
-#define GSIM_NLIMBS(w) (((w) + 63) / 64)
+|}
+
+let limb_helpers =
+  {|#define GSIM_NLIMBS(w) (((w) + 63) / 64)
 /* Subexpression widths are capped at 2048 bits by the emitter's gate;
    helper intermediates go one bit further (divmod remainders). */
 #define GSIM_WSCRATCH (GSIM_NLIMBS(2049) + 1)
@@ -811,7 +817,10 @@ static inline void gsim_wload(uint64_t *r, int n, const long *wf, long off) {
   const uint64_t *p = (const uint64_t *)wf + off;
   for (int i = 0; i < n; i++) r[i] = p[i];
 }
-/* Compare-store v against the flat mirror; on change also rewrite the
+|}
+
+let boxed_store =
+  {|/* Compare-store v against the flat mirror; on change also rewrite the
    boxed slot's tagged 31-bit limb words (wd[id] points to a Bits.t
    record; field 1 is the limb array) so the OCaml-side view stays
    identical. */
@@ -836,6 +845,8 @@ static inline long gsim_wstore(long *wf, long off, long *wd, long id,
 
 |}
 
+let value_helpers = scalar_helpers ^ limb_helpers
+
 type result = {
   source : string;
   compiled_nodes : int;
@@ -846,7 +857,8 @@ let emit c =
   let order = Circuit.eval_order c in
   let n = Circuit.max_id c in
   let b = Buffer.create (4096 + (Array.length order * 160)) in
-  Buffer.add_string b preamble;
+  List.iter (Buffer.add_string b)
+    [ native_header; scalar_helpers; boxed_note; limb_helpers; boxed_store ];
   let emitted = Array.make n false in
   let count = ref 0 in
   let shapes = { tbl = Hashtbl.create 64; next_shape = 0 } in

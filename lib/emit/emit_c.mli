@@ -1,33 +1,25 @@
-(** C emission for the ahead-of-time native backend.
+(** The one Expr-to-C lowering, and the native backend's unit.
 
-    Unlike {!Emit} (a self-contained C++ artifact with its own state
-    struct), this emitter targets the running simulator's own memory: one
-    C function per expression node, operating directly on the value
-    arenas of {!module:Gsim_engine.Runtime}.  Narrow (<= 62-bit)
-    subexpressions evaluate as [uint64_t] with the exact packed-int
-    semantics of the interpreters, loaded from and stored to the narrow
-    arena — an OCaml [int array] whose slots hold tagged immediates
-    (value [v] stored as the machine word [2v+1]).  Wider subexpressions
-    evaluate as little-endian 64-bit limb arrays matching
-    {!Gsim_bits.Bits} value for value, loaded by direct indexed reads
-    from the runtime's flat mirror arena (a [Bytes.t] of raw limbs laid
-    out by {!wide_offsets}) and stored back to both the mirror and the
-    boxed [Bits.t] slot's limb words.  Each function evaluates its
-    node's expression tree, retags and stores the result, and returns
-    whether the stored value changed (0/1).
+    {!emit_expr} lowers an expression to A-normal C over two arenas: the
+    narrow arena [a] of [long] slots holding tagged values (value [v] as
+    the word [2v+1], an OCaml immediate), evaluated as [uint64_t] with
+    the interpreters' packed-int semantics; and the flat arena [wf] of
+    raw little-endian 64-bit limbs laid out by {!wide_offsets}, for
+    values wider than 62 bits, matching {!Gsim_bits.Bits} value for
+    value.  Its two users each write their own store:
 
-    The generated translation unit is freestanding (only [<stdint.h>])
-    and exports three symbols:
-
-    - [long gsim_abi_version] — must equal {!abi_version};
-    - [long gsim_node_count] — the circuit's [max_id];
-    - [long (*gsim_table[])(long *, long *, long *)] — per-node-id
-      function pointers taking the narrow arena, the wide flat mirror
-      and the wide boxed arena, [NULL] for nodes that keep their closure
-      evaluators.
-
-    The native backend ({!module:Gsim_engine.Native}) compiles this
-    source with [cc -O2 -shared -fPIC] and binds the table via [dlopen]. *)
+    - {!emit}, the native backend's unit: one C function per expression
+      node over the running simulator's arenas
+      ({!module:Gsim_engine.Runtime}), which also mirrors a changed wide
+      value into its boxed [Bits.t] slot.  It exports
+      [long gsim_abi_version] (= {!abi_version}), [long gsim_node_count]
+      ([max_id]) and [long (*gsim_table[])(long *, long *, long *)]:
+      per node id, a function taking the narrow, flat and boxed arenas
+      that stores the node's value and returns whether it changed, or
+      [NULL] for nodes that keep their closures.
+      {!module:Gsim_engine.Native} compiles it with
+      [cc -O2 -shared -fPIC] and binds the table via [dlopen];
+    - {!Emit}: the standalone simulation unit of [gsim emit]. *)
 
 open Gsim_ir
 
@@ -45,6 +37,26 @@ val wide_offsets : Circuit.t -> int array * int
 val compilable : Circuit.t -> Circuit.node -> bool
 (** A [Logic]/[Reg_next] node whose result and every subexpression have
     width in [1, 2048].  Memory reads keep their closure evaluators. *)
+
+val wide_max : int  (** 2048: the widest subexpression {!compilable} admits *)
+
+val nl : int -> int  (** 64-bit limbs of a value of this width (at least 1) *)
+
+(** A lowered value: [N e], narrow, as a [uint64_t] C expression; [W t],
+    wider than 62 bits, as the name of a limb-array temporary. *)
+type rep = N of string | W of string
+
+val emit_expr : Buffer.t -> param:(int -> string) -> woff:int array -> Expr.t -> rep
+(** [emit_expr b ~param ~woff e] appends the statements computing [e]
+    (within {!compilable}'s widths) to [b] — one [t<n>] temporary per
+    operator, so each lowered expression needs a block of its own — and
+    returns the result.  [param v] renders an integer operand (node id,
+    [woff] offset or packed narrow constant) as a C expression. *)
+
+val value_helpers : string
+(** The [<stdint.h>] include and the [static inline] helpers
+    {!emit_expr}'s output calls: the native preamble without its header
+    comment and boxed-arena store. *)
 
 type result = {
   source : string;         (** the complete C translation unit *)

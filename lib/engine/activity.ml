@@ -42,9 +42,9 @@ type sweep = {
   sw_regs : int array;
       (* per register, five words: read node (-1: latched by OCaml),
          next node, activation range [lo, hi) in [sw_act], targets *)
-  sw_steps : (unit -> bool) array;
-      (* per member row: its fused step closure, run when the stub yields
-         the row (not read by C) *)
+  sw_row_super : int array;
+      (* per member row: its supernode, whose step closures run the row
+         when the stub yields it (not read by C) *)
 }
 
 (* [sw_state] slots: resume position (-1: start a sweep), the yielded
@@ -77,7 +77,9 @@ type t = {
   active : bool array;                   (* unpacked active bits *)
   sn_steps : (unit -> bool) array array;
       (* per supernode: fused member evaluate-and-activate closures,
-         returning whether the value changed *)
+         returning whether the value changed (see [super_steps]) *)
+  sn_built : bool array;
+  mutable build_steps : int -> (unit -> bool) array;
   sn_members : int array array;
       (* member node ids, parallel to [sn_steps] (change-hook support) *)
   sn_hits : int array;  (* evaluation count per supernode (profiling) *)
@@ -117,8 +119,8 @@ let set_super t k =
   end
   else t.active.(k) <- true
 
-(* Target supernodes (ascending, as [target_supers] returns them) merged
-   per active word: (word index, mask) pairs. *)
+(* Target supernodes (ascending, as [Partition.target_supers] returns
+   them) merged per active word: (word index, mask) pairs. *)
 let merged_masks targets =
   Array.fold_right
     (fun k acc ->
@@ -184,15 +186,6 @@ let push_pending t r =
     t.pending_stack.(t.pending_len) <- r;
     t.pending_len <- t.pending_len + 1
   end
-
-(* Distinct supernodes of a node list, excluding [exclude]. *)
-let target_supers (part : Partition.t) ?(exclude = -1) ids =
-  List.filter_map
-    (fun id ->
-      let k = if id < Array.length part.of_node then part.of_node.(id) else -1 in
-      if k >= 0 && k <> exclude then Some k else None)
-    ids
-  |> List.sort_uniq compare |> Array.of_list
 
 (* The native sweep's tables: every supernode's members get one row each,
    in member order.  A member runs in C through its generated function,
@@ -280,7 +273,12 @@ let sweep_tables t (u : Native.unit_t) ~config ~is_forcible part member_targets
     sw_reads = Array.of_list (List.rev !reads);
     sw_mems = Runtime.narrow_mems rt;
     sw_regs = Array.concat (Array.to_list reg_rows);
-    sw_steps = Array.concat (Array.to_list t.sn_steps);
+    sw_row_super =
+      Array.concat
+        (Array.to_list
+           (Array.mapi
+              (fun k members -> Array.map (fun _ -> k) members)
+              part.Partition.supernodes));
   }
 
 let create ?(config = gsim_config) ?(backend = Eval.default) ?(forcible = []) c part =
@@ -308,6 +306,8 @@ let create ?(config = gsim_config) ?(backend = Eval.default) ?(forcible = []) c 
       words = Array.make (max nwords 1) 0;
       active = Array.make (max nsuper 1) false;
       sn_steps = Array.make (max nsuper 1) [||];
+      sn_built = Array.make (max nsuper 1) false;
+      build_steps = (fun _ -> [||]);
       sn_members = part.Partition.supernodes;
       sn_hits = Array.make (max nsuper 1) 0;
       reg_reads = Array.map (fun (r : Circuit.register) -> r.read) regs;
@@ -349,43 +349,46 @@ let create ?(config = gsim_config) ?(backend = Eval.default) ?(forcible = []) c 
   (* Each member's distinct target supernodes. *)
   let member_targets =
     Array.mapi
-      (fun k members -> Array.map (fun id -> target_supers part ~exclude:k succs.(id)) members)
+      (fun k members ->
+        Array.map (fun id -> Partition.target_supers part ~exclude:k succs.(id)) members)
       part.Partition.supernodes
   in
   (* Per-supernode member arrays: evaluation and activation fused into one
      closure per member keeps the sweep's per-node overhead down. *)
-  Array.iteri
-    (fun k members ->
-      let steps =
-        Array.mapi
-          (fun i id ->
-            let eval =
-              Eval.node_evaluator ~sel ~forcible:is_forcible rt (Circuit.node c id)
-            in
-            let targets = member_targets.(k).(i) in
-            let act = make_activator t config.activation targets in
-            let no_targets = Array.length targets = 0 in
-            match Hashtbl.find_opt reg_index_of_next id with
-            | Some ri ->
-              fun () ->
-                let changed = eval () in
-                if changed then push_pending t ri;
-                act changed;
-                changed
-            | None ->
-              if no_targets then eval
-              else
-                fun () ->
-                  let changed = eval () in
-                  act changed;
-                  changed)
-          members
-      in
-      t.sn_steps.(k) <- steps)
-    part.Partition.supernodes;
+  let build_steps k =
+    Array.mapi
+      (fun i id ->
+        let eval = Eval.node_evaluator ~sel ~forcible:is_forcible rt (Circuit.node c id) in
+        let targets = member_targets.(k).(i) in
+        let act = make_activator t config.activation targets in
+        let no_targets = Array.length targets = 0 in
+        match Hashtbl.find_opt reg_index_of_next id with
+        | Some ri ->
+          fun () ->
+            let changed = eval () in
+            if changed then push_pending t ri;
+            act changed;
+            changed
+        | None ->
+          if no_targets then eval
+          else
+            fun () ->
+              let changed = eval () in
+              act changed;
+              changed)
+      part.Partition.supernodes.(k)
+  in
+  (* The OCaml sweep needs every supernode's steps; the native one keeps
+     the builder (and the tables it reads) for its first yields only. *)
+  if sel.Eval.native = None then
+    for k = 0 to nsuper - 1 do
+      t.sn_steps.(k) <- build_steps k;
+      t.sn_built.(k) <- true
+    done
+  else t.build_steps <- build_steps;
   (* Register read nodes: on latch change, wake the read node's consumers. *)
   let reg_targets =
-    Array.map (fun (r : Circuit.register) -> target_supers part succs.(r.read)) regs
+    Array.map (fun (r : Circuit.register) -> Partition.target_supers part succs.(r.read)) regs
   in
   let reg_read_activate =
     Array.map
@@ -429,7 +432,7 @@ let create ?(config = gsim_config) ?(backend = Eval.default) ?(forcible = []) c 
   let mem_activate =
     Array.map
       (fun (m : Circuit.memory) ->
-        let targets = target_supers part m.read_port_ids in
+        let targets = Partition.target_supers part m.read_port_ids in
         let act = make_activator t Branch targets in
         fun () -> act true)
       mems
@@ -437,22 +440,22 @@ let create ?(config = gsim_config) ?(backend = Eval.default) ?(forcible = []) c 
   (* Inputs. *)
   List.iter
     (fun (nd : Circuit.node) ->
-      let targets = target_supers part succs.(nd.id) in
+      let targets = Partition.target_supers part succs.(nd.id) in
       let act = make_activator t Branch targets in
       t.input_activate.(nd.id) <- (fun () -> act true))
     (Circuit.inputs c);
   (* Fault-injection wake closures.  A force that changes the stored value
      must mark the consumers' active bits (supernode-aware: same-supernode
      consumers are reached by re-activating that supernode, which
-     [target_supers] includes here — no [~exclude]).  A release must make
-     the node recompute: re-activate its own supernode, or re-latch its
-     register. *)
+     [Partition.target_supers] includes here — no [~exclude]).  A release
+     must make the node recompute: re-activate its own supernode, or
+     re-latch its register. *)
   let reg_index_of_read = Hashtbl.create (max nregs 1) in
   Array.iteri (fun i (r : Circuit.register) -> Hashtbl.replace reg_index_of_read r.read i) regs;
   Hashtbl.iter
     (fun id () ->
       let nd = Circuit.node c id in
-      let targets = target_supers part succs.(id) in
+      let targets = Partition.target_supers part succs.(id) in
       let act = make_activator t Branch targets in
       let own =
         if id < Array.length part.Partition.of_node then part.Partition.of_node.(id) else -1
@@ -623,6 +626,16 @@ let sweep_unpacked t =
   in
   pass ()
 
+(* A supernode's step closures.  [create] builds them all for the OCaml
+   sweep; under the native sweep a supernode's are built when the stub
+   first yields one of its members, or by [set_change_hook]. *)
+let super_steps t k =
+  if not t.sn_built.(k) then begin
+    t.sn_steps.(k) <- t.build_steps k;
+    t.sn_built.(k) <- true
+  end;
+  t.sn_steps.(k)
+
 (* The native sweep, yielding to OCaml for each member that must run
    there and then resuming right after it. *)
 let sweep_native t sw =
@@ -638,7 +651,9 @@ let sweep_native t sw =
     ctr.Counters.changed <- ctr.Counters.changed + st.(st_changed);
     ctr.Counters.activations <- ctr.Counters.activations + st.(st_acts);
     if row >= 0 then begin
-      if sw.sw_steps.(row) () then ctr.Counters.changed <- ctr.Counters.changed + 1;
+      let k = sw.sw_row_super.(row) in
+      let step = (super_steps t k).(row - sw.sw_sn.(2 * k)) in
+      if step () then ctr.Counters.changed <- ctr.Counters.changed + 1;
       go ()
     end
   in
@@ -742,6 +757,9 @@ let invalidate_all t =
 let set_change_hook t hook =
   (* Hooked steps are OCaml closures: the OCaml sweep runs from now on. *)
   t.sweep <- None;
+  for k = 0 to t.nsuper - 1 do
+    ignore (super_steps t k)
+  done;
   Array.iteri
     (fun k steps ->
       let members = t.sn_members.(k) in

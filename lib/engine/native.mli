@@ -52,6 +52,10 @@ val available : unit -> bool
 (** The backend can run: not disabled via [GSIM_NATIVE=off] and a C
     compiler is present. *)
 
+val find_compiler : unit -> string option
+(** The C compiler the backend runs: [GSIM_CC] when set, else the first
+    of [cc], [gcc], [clang] on [PATH]. *)
+
 val cache_dir : unit -> string
 
 val load : Circuit.t -> (unit_t * origin) option

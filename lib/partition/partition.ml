@@ -474,6 +474,15 @@ let algorithm_of_string = function
   | "gsim" -> Some gsim
   | _ -> None
 
+(* Distinct supernodes of a node list, ascending, excluding [exclude]. *)
+let target_supers t ?(exclude = -1) ids =
+  List.filter_map
+    (fun id ->
+      let k = if id < Array.length t.of_node then t.of_node.(id) else -1 in
+      if k >= 0 && k <> exclude then Some k else None)
+    ids
+  |> List.sort_uniq compare |> Array.of_list
+
 (* ------------------------------------------------------------------ *)
 (* Validation and quality metrics                                      *)
 (* ------------------------------------------------------------------ *)

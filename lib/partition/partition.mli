@@ -49,6 +49,12 @@ val gsim : Circuit.t -> max_size:int -> t
 val algorithm_of_string : string -> (Circuit.t -> max_size:int -> t) option
 (** ["none" | "kernighan" | "mffc" | "gsim"]. *)
 
+val target_supers : t -> ?exclude:int -> int list -> int array
+(** The distinct supernodes holding the given node ids, ascending,
+    without [exclude]: the active bits a change to a node with these
+    successors must set.  Shared by the activity engines and the emitted
+    C units, so both wake the same supernodes. *)
+
 val validate : Circuit.t -> t -> unit
 (** Checks coverage (every evaluated node in exactly one supernode, others
     in none), member evaluation order, and schedulability.  Raises
