@@ -28,13 +28,20 @@ type measurement = {
   m_config : string;
   m_design : string;
   m_workload : string;
-  cycles : int;
-  seconds : float;
-  hz : float;
+  cycles : int;  (* over all windows *)
+  seconds : float;  (* over all windows *)
+  hz : float;  (* median window *)
+  hz_min : float;
+  hz_max : float;
+  minor_words_per_cycle : float;
   activity : float;
-  counters : Counters.t;
+  counters : Counters.t;  (* over all windows *)
   supernodes : int;
 }
+
+(* Windows per measurement: the reported rate is their median, so one
+   window disturbed by the host does not move a row. *)
+let windows = 5
 
 (* Build-once cache: designs are deterministic, so each named design is
    elaborated a single time per process and copied per engine. *)
@@ -66,8 +73,10 @@ let optimized_circuit (design : Designs.design) level =
     c
 
 (* Measure [config] running [prog] on [design] for the budgeted number of
-   cycles (after a short warmup).  The program must run longer than the
-   budget; halting early would quietly measure an idle core. *)
+   cycles (after a short warmup), split into [windows] equal consecutive
+   windows timed separately.  The program must run longer than the
+   budget; halting early would quietly measure an idle core.  Minor
+   words allocated per cycle are deterministic, unlike the rates. *)
 let measure ?cycles_override (config : Gsim.config) (design : Designs.design)
     (prog : Isa.program) =
   let core = build_design design in
@@ -101,9 +110,19 @@ let measure ?cycles_override (config : Gsim.config) (design : Designs.design)
       (Printf.sprintf "harness: %s halted during warmup; use a longer program"
          prog.Isa.prog_name);
   Counters.clear (sim.Sim.counters ());
-  let t0 = now () in
-  Designs.run_cycles sim cycles;
-  let dt = now () -. t0 in
+  let per_window = max 1 (cycles / windows) in
+  let cycles = per_window * windows in
+  let secs = Array.make windows 0. in
+  let words = ref 0. in
+  for i = 0 to windows - 1 do
+    let w0 = Gc.minor_words () in
+    let t0 = now () in
+    Designs.run_cycles sim per_window;
+    secs.(i) <- now () -. t0;
+    words := !words +. (Gc.minor_words () -. w0)
+  done;
+  let rates = Array.map (fun dt -> float_of_int per_window /. dt) secs in
+  Array.sort compare rates;
   if not (Bits.is_zero (sim.Sim.peek h.Stu_core.halt)) then
     failwith
       (Printf.sprintf "harness: %s halted inside the measured window" prog.Isa.prog_name);
@@ -115,8 +134,11 @@ let measure ?cycles_override (config : Gsim.config) (design : Designs.design)
       m_design = design.Designs.design_name;
       m_workload = prog.Isa.prog_name;
       cycles;
-      seconds = dt;
-      hz = float_of_int cycles /. dt;
+      seconds = Array.fold_left ( +. ) 0. secs;
+      hz = rates.(windows / 2);
+      hz_min = rates.(0);
+      hz_max = rates.(windows - 1);
+      minor_words_per_cycle = !words /. float_of_int cycles;
       activity = Counters.activity_factor ctr ~total_nodes;
       counters = ctr;
       supernodes = compiled.Gsim.supernodes;

@@ -558,18 +558,28 @@ let backend () =
   let have_native = Gsim_engine.Native.available () in
   if not have_native then
     Printf.printf "  (no C compiler found - native column skipped; set GSIM_CC to override)\n";
-  Printf.printf "%-10s %-11s %10s %10s %8s %8s %8s\n" "design" "engine" "closures" "native"
-    "ns/ev(c)" "ns/ev(n)" "nat/clo";
+  Printf.printf "%-10s %-11s %10s %10s %8s %8s %8s %9s %9s\n" "design" "engine" "closures"
+    "native" "ns/ev(c)" "ns/ev(n)" "nat/clo" "mw/cyc(c)" "mw/cyc(n)";
   let prog = coremark_long () in
   let rows = ref [] in
+  (* Per-eval cost at the median window's rate. *)
+  let ns m =
+    1e9 *. float_of_int m.cycles
+    /. (m.hz *. float_of_int (max m.counters.Counters.evals 1))
+  in
+  (* The rate, its spread over the windows and the allocation, as the
+     JSON fields [<p>_hz], [<p>_hz_min], [<p>_hz_max] and
+     [minor_words_per_cycle_<p>]. *)
+  let rate_fields p m =
+    Printf.sprintf
+      "\"%s_hz\":%.1f,\"%s_hz_min\":%.1f,\"%s_hz_max\":%.1f,\"minor_words_per_cycle_%s\":%.2f"
+      p m.hz p m.hz_min p m.hz_max p m.minor_words_per_cycle
+  in
   List.iter
     (fun d ->
       List.iter
         (fun (ename, mk) ->
           let mc = measure (mk `Closures) d prog in
-          let ns m =
-            m.seconds *. 1e9 /. float_of_int (max m.counters.Counters.evals 1)
-          in
           let kc, chc = backend_checksum (mk `Closures) d prog in
           let native =
             if not have_native then None
@@ -583,26 +593,28 @@ let backend () =
               Some (mn, kn)
             end
           in
-          Printf.printf "%-10s %-11s %10s %10s %8.1f %8s %8s  (checksums agree)\n%!"
+          let opt f = match native with Some (m, _) -> f m | None -> "-" in
+          Printf.printf "%-10s %-11s %10s %10s %8.1f %8s %8s %9.1f %9s  (checksums agree)\n%!"
             d.Designs.design_name ename (pp_hz mc.hz)
-            (match native with Some (m, _) -> pp_hz m.hz | None -> "-")
+            (opt (fun m -> pp_hz m.hz))
             (ns mc)
-            (match native with Some (m, _) -> Printf.sprintf "%.1f" (ns m) | None -> "-")
-            (match native with
-             | Some (m, _) -> Printf.sprintf "%7.2fx" (m.hz /. mc.hz)
-             | None -> "-");
+            (opt (fun m -> Printf.sprintf "%.1f" (ns m)))
+            (opt (fun m -> Printf.sprintf "%7.2fx" (m.hz /. mc.hz)))
+            mc.minor_words_per_cycle
+            (opt (fun m -> Printf.sprintf "%.1f" m.minor_words_per_cycle));
           let native_fields =
             match native with
             | None -> ""
             | Some (m, kn) ->
               Printf.sprintf
-                ",\"native_hz\":%.1f,\"ns_per_eval_native\":%.2f,\"native_speedup\":%.3f,\"native_checksum\":%d"
-                m.hz (ns m) (m.hz /. mc.hz) kn
+                ",%s,\"ns_per_eval_native\":%.2f,\"native_speedup\":%.3f,\"native_checksum\":%d"
+                (rate_fields "native" m) (ns m) (m.hz /. mc.hz) kn
           in
           rows :=
             Printf.sprintf
-              "    {\"design\":%S,\"engine\":%S,\"closures_hz\":%.1f,\"ns_per_eval_closures\":%.2f,\"checksum\":%d%s}"
-              d.Designs.design_name ename mc.hz (ns mc) kc native_fields
+              "    {\"design\":%S,\"engine\":%S,\"windows\":%d,\"cycles\":%d,%s,\"ns_per_eval_closures\":%.2f,\"checksum\":%d%s}"
+              d.Designs.design_name ename windows mc.cycles (rate_fields "closures" mc) (ns mc) kc
+              native_fields
             :: !rows)
         (backend_configs ()))
     Designs.all;

@@ -40,8 +40,10 @@ type sweep = {
          enable node (-1: none), depth, the read node *)
   sw_mems : int array array;  (* the runtime's narrow memory arrays *)
   sw_regs : int array;
-      (* per register, five words: read node (-1: latched by OCaml),
-         next node, activation range [lo, hi) in [sw_act], targets *)
+      (* per register, eight words: read node (-1: forcible, latched by
+         OCaml), next node, activation range [lo, hi) in [sw_act],
+         targets, the read and next nodes' [sw_wflat] offsets (read
+         offset -1: narrow), width *)
   sw_row_super : int array;
       (* per member row: its supernode, whose step closures run the row
          when the stub yields it (not read by C) *)
@@ -191,8 +193,9 @@ let push_pending t r =
    in member order.  A member runs in C through its generated function,
    or as a narrow memory read (narrow data, address and enable); a
    forcible member, or one that is neither, gets fn word 0: the stub
-   yields it to its OCaml step closure.  Narrow registers whose read node
-   is not forcible latch in C too; the others yield to [reg_copy]. *)
+   yields it to its OCaml step closure.  Registers whose read node is not
+   forcible, narrow or wide, latch in C too; the others yield to
+   [reg_copy]. *)
 let sweep_tables t (u : Native.unit_t) ~config ~is_forcible part member_targets
     reg_index_of_next regs reg_targets =
   let rt = t.rt in
@@ -252,8 +255,9 @@ let sweep_tables t (u : Native.unit_t) ~config ~is_forcible part member_targets
       (fun ri (r : Circuit.register) ->
         let targets = reg_targets.(ri) in
         let lo, hi = add_targets targets in
-        let read = if narrow r.read && not (is_forcible r.read) then r.read else -1 in
-        [| read; r.next; lo; hi; Array.length targets |])
+        let read = if is_forcible r.read then -1 else r.read in
+        [| read; r.next; lo; hi; Array.length targets; Runtime.wide_offset rt r.read;
+           Runtime.wide_offset rt r.next; (Circuit.node c r.read).Circuit.width |])
       regs
   in
   {
@@ -637,27 +641,27 @@ let super_steps t k =
   t.sn_steps.(k)
 
 (* The native sweep, yielding to OCaml for each member that must run
-   there and then resuming right after it. *)
+   there and then resuming right after it.  A plain loop: the steady
+   state allocates nothing. *)
 let sweep_native t sw =
   let ctr = t.counters in
   let st = sw.sw_state in
   st.(st_pos) <- -1;
-  let rec go () =
+  let row = ref 0 in
+  while !row >= 0 do
     st.(st_plen) <- t.pending_len;
-    let row = native_sweep sw in
+    row := native_sweep sw;
     t.pending_len <- st.(st_plen);
     ctr.Counters.exams <- ctr.Counters.exams + st.(st_exams);
     ctr.Counters.evals <- ctr.Counters.evals + st.(st_evals);
     ctr.Counters.changed <- ctr.Counters.changed + st.(st_changed);
     ctr.Counters.activations <- ctr.Counters.activations + st.(st_acts);
-    if row >= 0 then begin
-      let k = sw.sw_row_super.(row) in
-      let step = (super_steps t k).(row - sw.sw_sn.(2 * k)) in
-      if step () then ctr.Counters.changed <- ctr.Counters.changed + 1;
-      go ()
+    if !row >= 0 then begin
+      let k = sw.sw_row_super.(!row) in
+      let step = (super_steps t k).(!row - sw.sw_sn.(2 * k)) in
+      if step () then ctr.Counters.changed <- ctr.Counters.changed + 1
     end
-  in
-  go ()
+  done
 
 let latch t ri =
   if t.reg_copy.(ri) () then begin
@@ -665,24 +669,36 @@ let latch t ri =
     t.reg_read_activate.(ri) ()
   end
 
-(* The native latch, yielding to [latch] for each register OCaml must
-   latch. *)
+(* The native latch, yielding to [latch] for each forcible register. *)
 let latch_native t sw =
   let ctr = t.counters in
   let st = sw.sw_state in
   st.(st_pos) <- 0;
   st.(st_plen) <- t.pending_len;
-  let rec go () =
-    let ri = native_latch sw in
+  let ri = ref 0 in
+  while !ri >= 0 do
+    ri := native_latch sw;
     ctr.Counters.reg_commits <- ctr.Counters.reg_commits + st.(st_commits);
     ctr.Counters.activations <- ctr.Counters.activations + st.(st_acts);
-    if ri >= 0 then begin
-      latch t ri;
-      go ()
-    end
-  in
-  go ();
+    if !ri >= 0 then latch t !ri
+  done;
   t.pending_len <- 0
+
+(* One slow-path reset group: when its signal is set, apply each
+   register's reset value and keep the register pending. *)
+let apply_resets t (test, ris) =
+  let ctr = t.counters in
+  ctr.Counters.reset_checks <- ctr.Counters.reset_checks + 1;
+  if test () then
+    for i = 0 to Array.length ris - 1 do
+      let ri = ris.(i) in
+      if t.reset_apply.(ri) () then begin
+        ctr.Counters.reg_commits <- ctr.Counters.reg_commits + 1;
+        t.reg_read_activate.(ri) ()
+      end;
+      (* The register must latch again once reset deasserts. *)
+      push_pending t ri
+    done
 
 let step t =
   let ctr = t.counters in
@@ -714,20 +730,9 @@ let step t =
        latch t ri
      done);
   (* Slow-path resets: one check per reset signal. *)
-  Array.iter
-    (fun (test, ris) ->
-      ctr.Counters.reset_checks <- ctr.Counters.reset_checks + 1;
-      if test () then
-        Array.iter
-          (fun ri ->
-            if t.reset_apply.(ri) () then begin
-              ctr.Counters.reg_commits <- ctr.Counters.reg_commits + 1;
-              t.reg_read_activate.(ri) ()
-            end;
-            (* The register must latch again once reset deasserts. *)
-            push_pending t ri)
-          ris)
-    t.resets;
+  for i = 0 to Array.length t.resets - 1 do
+    apply_resets t t.resets.(i)
+  done;
   ctr.Counters.cycles <- ctr.Counters.cycles + 1
 
 let load_mem t mi contents = Runtime.load_mem t.rt mi contents

@@ -20,12 +20,14 @@
     evaluates every active supernode's members through their generated
     functions (narrow memory reads inline), counts changes, marks
     pending registers and sets successor bits; a second call latches the
-    pending narrow registers.  Members and registers C cannot run
-    (forcible, wide memory reads, wide registers) are yielded one at a
-    time to their OCaml closures, and the sweep resumes right after
-    them.  Counters, supernode hits and values are identical to the
-    closures backend.  Installing {!set_change_hook} switches an engine
-    back to the OCaml sweep. *)
+    pending registers, narrow and wide, and wakes their readers.
+    Members and registers C cannot run (forcible members and registers,
+    wide memory reads) are yielded one at a time to their OCaml
+    closures, and the sweep resumes right after them.  Counters,
+    supernode hits and values are identical to the closures backend,
+    and a steady-state {!step} allocates nothing when nothing yields.
+    Installing {!set_change_hook} switches an engine back to the OCaml
+    sweep. *)
 
 module Bits = Gsim_bits.Bits
 open Gsim_ir

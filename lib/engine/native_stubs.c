@@ -21,7 +21,9 @@
  * engines), and a whole activity sweep (`gsim_activity_sweep`, the gsim
  * and essent engines): examine the active bits, evaluate every member of
  * each active supernode, count changes, mark pending registers and set
- * the successors' active bits, all inside one call per cycle.
+ * the successors' active bits, all inside one call per cycle.  After
+ * the sweep, `gsim_activity_latch` commits every pending register whose
+ * read node is not forcible, narrow or wide, and wakes its readers.
  *
  * Handles are never dlclose()d: realized evaluators capture table
  * entries, and a unit stays reusable for the life of the process (the
@@ -29,6 +31,7 @@
  * distinct circuit). */
 
 #include <dlfcn.h>
+#include <stdint.h>
 #include <string.h>
 
 #include <caml/alloc.h>
@@ -129,7 +132,11 @@ CAMLprim value gsim_native_run(value fns, value arena, value wflat, value wide)
      node (-1 = none), depth, and the node it writes.
    - act: packed: (word index, mask) pairs; unpacked: supernode indices.
    - hits: per-supernode evaluation counts.
-   - regs: read by the latch (gsim_activity_latch below).
+   - regs: per register, REG_STRIDE words: read node (-1 = forcible,
+     latched by OCaml), next node, activation range [lo, hi) in act,
+     target count, then the read and next nodes' flat mirror offsets
+     (read offset -1 = narrow) and the width; read by the latch
+     (gsim_activity_latch below).
    - pending / pending_stack: the register latch set (bool array and
      its stack); state[ST_PLEN] carries the stack length in and out.
    - state: ST_POS is -1 to start a sweep.  After a yield it holds the
@@ -170,7 +177,7 @@ CAMLprim value gsim_native_run(value fns, value arena, value wflat, value wide)
 
 #define MEM_STRIDE 5
 #define RD_STRIDE 5
-#define REG_STRIDE 5
+#define REG_STRIDE 8
 #define WORD_BITS 62
 
 struct sweep {
@@ -346,17 +353,49 @@ out:
   return Val_long(row);
 }
 
+/* A wide register's latch, as Runtime.reg_copier does it: compare and
+   copy the n raw 64-bit limbs of its next node (flat mirror offset noff)
+   into its read node's (roff).  On change, also rewrite the read node's
+   boxed Bits.t limb words (wide[id] points to a record whose field 1 is
+   the array of tagged 31-bit limbs), exactly as the generated
+   gsim_wstore does, so peeks, checkpoints and the closures see the same
+   value.  Reports change. */
+static inline long wide_latch(long *wflat, long *wide, long id, long roff,
+                              long noff, long w)
+{
+  uint64_t *p = (uint64_t *)wflat + roff;
+  const uint64_t *v = (const uint64_t *)wflat + noff;
+  long n = (w + 63) / 64, ch = 0;
+  for (long i = 0; i < n; i++)
+    if (p[i] != v[i]) { p[i] = v[i]; ch = 1; }
+  if (ch) {
+    long *q = (long *)((long *)wide[id])[1];
+    long n31 = (w + 30) / 31;
+    for (long k = 0; k < n31; k++) {
+      long pbit = 31 * k, j = pbit >> 6, sh = pbit & 63;
+      uint64_t lo = v[j] >> sh;
+      uint64_t hi = (sh > 33 && j + 1 < n) ? v[j + 1] << (64 - sh) : 0;
+      q[k] = (long)((((lo | hi) & UINT64_C(0x7FFFFFFF)) << 1) | 1);
+    }
+  }
+  return ch;
+}
+
 /* The register latch that follows the sweep: pops the pending stack
-   (state[ST_PLEN] entries) from state[ST_POS] on.  A narrow register
-   whose read node is not forcible latches here: read := next, and on
-   change its read node's consumers are activated.  Any other register
-   (regs row read = -1) is returned for OCaml to latch, with ST_POS set
-   past it.  Returns -1 once the stack is drained; the deltas of
-   reg_commits and activations are written to ST_COMMITS / ST_ACTS. */
+   (state[ST_PLEN] entries) from state[ST_POS] on.  Every register whose
+   read node is not forcible latches here, narrow (read := next in the
+   int arena) or wide (wide_latch), and on change its read node's
+   consumers are activated.  A forcible register (regs row read = -1),
+   whose latch must re-apply the override, is returned for OCaml to
+   latch, with ST_POS set past it.  Returns -1 once the stack is
+   drained; the deltas of reg_commits and activations are written to
+   ST_COMMITS / ST_ACTS. */
 CAMLprim value gsim_activity_latch(value sw)
 {
   value *state = Op_val(Field(sw, SW_STATE));
   value *regs = Op_val(Field(sw, SW_REGS));
+  long *wflat = (long *)Bytes_val(Field(sw, SW_WFLAT));
+  long *wide = (long *)Field(sw, SW_WIDE);
   struct sweep s = {
     .words = Op_val(Field(sw, SW_WORDS)),
     .active = Op_val(Field(sw, SW_ACTIVE)),
@@ -379,9 +418,16 @@ CAMLprim value gsim_activity_latch(value sw)
       i++;
       break;
     }
-    long v = s.arena[Long_val(r[1])];
-    if (s.arena[read] != v) {
+    long roff = Long_val(r[5]);
+    long ch;
+    if (roff >= 0) {
+      ch = wide_latch(wflat, wide, read, roff, Long_val(r[6]), Long_val(r[7]));
+    } else {
+      long v = s.arena[Long_val(r[1])];
+      ch = s.arena[read] != v;
       s.arena[read] = v;
+    }
+    if (ch) {
       commits++;
       acts += Long_val(r[4]);
       activate(&s, Long_val(r[2]), Long_val(r[3]));

@@ -183,6 +183,8 @@ let wide_values t = t.wide
 
 let wide_flat t = t.wflat
 
+let wide_offset t id = t.woff.(id)
+
 let narrow_mems t = t.mem_narrow
 
 let is_wide t id = t.is_wide.(id)

@@ -109,6 +109,10 @@ val wide_flat : t -> Bytes.t
     direct indexed reads from it; all runtime store paths keep it
     identical to the boxed slots. *)
 
+val wide_offset : t -> int -> int
+(** A wide node's offset in {!wide_flat}, in 64-bit limbs ([-1] for a
+    narrow node). *)
+
 val narrow_mems : t -> int array array
 (** The narrow memories' contents (indexed by memory, then word; [[||]]
     for a wide memory), not copies.  Engine internals only: the

@@ -3,11 +3,12 @@
    select them, over hand-written signed div/rem corners, a 120-circuit
    torture sweep, a 60-circuit force/release torture and coverage
    databases, with identical event counters and per-supernode hits (the
-   activity engines run their sweep in C under native).  Without a C
-   compiler the closure halves still run.  Also
-   pins the .so cache behaviour (miss on first compile, hit on reuse,
-   invalidation on circuit-hash change), the missing-compiler fallback,
-   and the auto heuristic. *)
+   activity engines run their sweep and register latch in C under
+   native, wide registers included), and a native activity step that
+   allocates nothing.  Without a C compiler the closure halves still
+   run.  Also pins the .so cache behaviour (miss on first compile, hit on
+   reuse, invalidation on circuit-hash change), the missing-compiler
+   fallback, and the auto heuristic. *)
 
 module Bits = Gsim_bits.Bits
 module Expr = Gsim_ir.Expr
@@ -21,6 +22,7 @@ module Eval = Gsim_engine.Eval
 module Native = Gsim_engine.Native
 module Full_cycle = Gsim_engine.Full_cycle
 module Activity = Gsim_engine.Activity
+module Checkpoint = Gsim_engine.Checkpoint
 module Parallel = Gsim_engine.Parallel
 module Emit_c = Gsim_emit.Emit_c
 module Collect = Gsim_coverage.Collect
@@ -389,6 +391,147 @@ let test_sweep_yield_resume () =
      re-counted exam cannot hide in a second word. *)
   Alcotest.(check bool) "single active word" true (Activity.supernode_count native <= 62)
 
+(* --- native latch: wide registers commit in C ---------------------------- *)
+
+(* A w-bit register stepping through rotate-left-and-add-[a] while [en]
+   is set and holding otherwise, so its latch sees both changed and
+   unchanged cycles and every limb moves.  Two narrow readers (parity
+   and the top byte) make its wake visible in the values, counters and
+   supernode hits. *)
+let stepping_register c ~a ~en ~w ~init =
+  let r = Circuit.add_register c ~name:(Printf.sprintf "r%d" w) ~width:w ~init () in
+  let vr = Expr.var ~width:w r.Circuit.read in
+  let rot =
+    Expr.binop Expr.Cat
+      (Expr.unop (Expr.Extract (w - 2, 0)) vr)
+      (Expr.unop (Expr.Extract (w - 1, w - 1)) vr)
+  in
+  let step =
+    Expr.unop (Expr.Extract (w - 1, 0))
+      (Expr.binop Expr.Add rot (Expr.unop (Expr.Pad_unsigned w) (Expr.var ~width:16 a)))
+  in
+  Circuit.set_next c r (Expr.mux (Expr.var ~width:1 en) step vr);
+  let parity = Circuit.add_logic c ~name:(Printf.sprintf "p%d" w) (Expr.unop Expr.Reduce_xor vr) in
+  let top = Circuit.add_logic c ~name:(Printf.sprintf "t%d" w) (Expr.unop (Expr.Extract (w - 1, w - 8)) vr) in
+  List.iter (Circuit.mark_output c) [ parity.Circuit.id; top.Circuit.id ];
+  r
+
+let wide_latch_circuit () =
+  let c = Circuit.create ~name:"wide_latch" () in
+  let a = (Circuit.add_input c ~name:"a" ~width:16).Circuit.id in
+  let en = (Circuit.add_input c ~name:"en" ~width:1).Circuit.id in
+  let st = Random.State.make [| 6364 |] in
+  let reg w = stepping_register c ~a ~en ~w ~init:(Bits.random st ~width:w) in
+  List.iter (fun w -> ignore (reg w)) [ 63; 64; 96; 130; 200 ];
+  let forced = reg 100 in
+  (c, a, en, forced.Circuit.read)
+
+let test_wide_latch () =
+  skip_without_cc ();
+  let c, a, en, forced = wide_latch_circuit () in
+  let cycles = 24 in
+  let st = Random.State.make [| 2718 |] in
+  let bw = b ~w:100 in
+  let steps =
+    Array.init cycles (fun i ->
+        {
+          Oracle.pokes =
+            [ (a, Bits.random st ~width:16); (en, b ~w:1 (Bool.to_int (i mod 5 <> 3))) ];
+          actions =
+            (if i = 5 then [ Oracle.Force { target = forced; mask = None; value = bw 0x5a5a } ]
+             else if i = 9 then
+               [ Oracle.Force
+                   { target = forced; mask = Some (Bits.lognot (bw 0xffff)); value = bw 0 } ]
+             else if i = 14 then [ Oracle.Release forced ]
+             else []);
+        })
+  in
+  let subjects backend =
+    oracle_subjects backend
+      [ ( "wide_gsim",
+          activity_subject ~name:"wide_gsim" ~backend ~forcible:[ forced ] Activity.gsim_config
+            (Partition.gsim ~max_size:4) );
+        ( "wide_essent",
+          activity_subject ~name:"wide_essent" ~backend ~forcible:[ forced ]
+            Activity.essent_config (Partition.mffc ~max_size:4) ) ]
+  in
+  let observe = Circuit.fold_nodes c ~init:[] ~f:(fun acc n -> n.Circuit.id :: acc) in
+  let outcomes =
+    Oracle.run ~observe c steps (subjects `Closures @ subjects `Native)
+  in
+  (match Oracle.first_failure outcomes with
+   | Some (s, f) -> Alcotest.failf "%s: %s" s (Oracle.failure_to_string f)
+   | None -> ());
+  List.iter
+    (fun name ->
+      let built bk = Hashtbl.find activity_built (name ^ "/" ^ bk) in
+      Alcotest.(check string) (name ^ ": native ran") "native"
+        (Activity.counters (built "native")).Counters.backend;
+      check_counters_identical "wide latch" outcomes name;
+      check_hits_identical "wide latch" name;
+      let checkpoint bk =
+        let t = built bk in
+        Checkpoint.to_string (Checkpoint.capture ~rt:(Activity.runtime t) (Activity.sim t))
+      in
+      Alcotest.(check string) (name ^ ": checkpoint bytes") (checkpoint "closures")
+        (checkpoint "native"))
+    [ "wide_gsim"; "wide_essent" ]
+
+(* --- native activity step: zero allocation ---------------------------- *)
+
+(* Wide registers (64, 96, 130 bits) and a narrow memory written and read
+   every cycle: every phase of the native step runs, none in a closure
+   that allocates. *)
+let no_alloc_circuit () =
+  let c = Circuit.create ~name:"no_alloc" () in
+  let ctr = Circuit.add_register c ~name:"ctr" ~width:16 ~init:(Bits.zero 16) () in
+  let vctr = Expr.var ~width:16 ctr.Circuit.read in
+  Circuit.set_next c ctr
+    (Expr.unop (Expr.Extract (15, 0)) (Expr.binop Expr.Add vctr (Expr.of_int ~width:16 1)));
+  let one = Circuit.add_logic c ~name:"one" (Expr.of_int ~width:1 1) in
+  let st = Random.State.make [| 1618 |] in
+  List.iter
+    (fun w ->
+      ignore
+        (stepping_register c ~a:ctr.Circuit.read ~en:one.Circuit.id ~w
+           ~init:(Bits.random st ~width:w)))
+    [ 64; 96; 130 ];
+  let mem = Circuit.add_memory c ~name:"m" ~width:16 ~depth:16 in
+  let wa = Circuit.add_logic c ~name:"wa" (Expr.unop (Expr.Extract (3, 0)) vctr) in
+  Circuit.add_write_port c ~mem ~addr:wa.Circuit.id ~data:ctr.Circuit.read ~en:one.Circuit.id;
+  let ra = Circuit.add_logic c ~name:"ra" (Expr.unop (Expr.Extract (4, 1)) vctr) in
+  let rd = Circuit.add_read_port c ~mem ~name:"rd" ~addr:ra.Circuit.id () in
+  let q = Circuit.add_register c ~name:"q" ~width:16 ~init:(Bits.zero 16) () in
+  Circuit.set_next c q (Expr.var ~width:16 rd.Circuit.id);
+  Circuit.mark_output c q.Circuit.read;
+  c
+
+let minor_words f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+let test_step_no_alloc () =
+  skip_without_cc ();
+  let c = no_alloc_circuit () in
+  List.iter
+    (fun (name, config, partition) ->
+      let t = Activity.create ~config ~backend:`Native c (partition c) in
+      Alcotest.(check string) (name ^ ": native ran") "native"
+        (Activity.counters t).Counters.backend;
+      for _ = 1 to 100 do
+        Activity.step t
+      done;
+      let commits0 = (Activity.counters t).Counters.reg_commits in
+      let words = minor_words (fun () -> for _ = 1 to 1000 do Activity.step t done) in
+      let overhead = minor_words (fun () -> ()) in
+      Alcotest.(check bool) (name ^ ": registers kept changing") true
+        ((Activity.counters t).Counters.reg_commits - commits0 >= 4000);
+      Alcotest.(check (float 0.)) (name ^ ": minor words over 1000 steps") 0.
+        (words -. overhead))
+    [ ("gsim", Activity.gsim_config, Partition.gsim ~max_size:24);
+      ("essent", Activity.essent_config, Partition.mffc ~max_size:12) ]
+
 (* --- coverage databases must not depend on the backend ---------------- *)
 
 let test_coverage_identical () =
@@ -573,6 +716,8 @@ let () =
           Alcotest.test_case "force/release torture 60 circuits" `Slow test_force_torture;
           Alcotest.test_case "coverage identical" `Quick test_coverage_identical;
           Alcotest.test_case "native sweep yields and resumes" `Quick test_sweep_yield_resume;
+          Alcotest.test_case "wide registers latch in C" `Quick test_wide_latch;
+          Alcotest.test_case "native activity step allocates nothing" `Quick test_step_no_alloc;
         ] );
       ( "cache",
         [ Alcotest.test_case "miss, hit, invalidation" `Quick test_cache_hit_and_invalidation ] );
