@@ -1699,6 +1699,9 @@ let remote_status_cmd =
   let run to_ json timeout =
     match check_error (remote_call ~timeout to_ SP.Status) with
     | SP.Status_ok s ->
+      (* Checked here, from the rows themselves, so a daemon whose
+         counters drift is caught by any client. *)
+      let broken = List.filter (fun t -> not (SP.tenant_conserves t)) s.SP.st_tenants in
       if json then begin
         let tenants =
           String.concat ","
@@ -1711,7 +1714,7 @@ let remote_status_cmd =
                s.SP.st_tenants)
         in
         Printf.printf
-          "{\"workers\":%d,\"queued\":%d,\"running\":%d,\"completed\":%d,\"rejected\":%d,\"shed\":%d,\"over_budget\":%d,\"deadline_expired\":%d,\"cache\":{\"entries\":%d,\"capacity\":%d,\"hits\":%d,\"misses\":%d,\"evictions\":%d},\"golden\":{\"hits\":%d,\"misses\":%d},\"preemptions\":%d,\"supervision\":{\"retries\":%d,\"hangs\":%d,\"worker_crashes\":%d,\"worker_restarts\":%d,\"gave_up\":%d},\"quarantine\":{\"open\":%d,\"trips\":%d},\"chaos_injected\":%d,\"tenants\":[%s],\"uptime\":%.3f,\"draining\":%b}\n"
+          "{\"workers\":%d,\"queued\":%d,\"running\":%d,\"completed\":%d,\"rejected\":%d,\"shed\":%d,\"over_budget\":%d,\"deadline_expired\":%d,\"cache\":{\"entries\":%d,\"capacity\":%d,\"hits\":%d,\"misses\":%d,\"evictions\":%d},\"golden\":{\"hits\":%d,\"misses\":%d},\"preemptions\":%d,\"supervision\":{\"retries\":%d,\"hangs\":%d,\"worker_crashes\":%d,\"worker_restarts\":%d,\"gave_up\":%d},\"quarantine\":{\"open\":%d,\"trips\":%d},\"chaos_injected\":%d,\"tenants\":[%s],\"conservation\":\"%s\",\"uptime\":%.3f,\"draining\":%b}\n"
           s.SP.st_workers s.SP.st_queued s.SP.st_running s.SP.st_completed s.SP.st_rejected
           s.SP.st_shed s.SP.st_over_budget s.SP.st_deadline_expired
           s.SP.st_cache_entries s.SP.st_cache_capacity s.SP.st_cache_hits
@@ -1719,6 +1722,7 @@ let remote_status_cmd =
           s.SP.st_golden_misses s.SP.st_preemptions s.SP.st_retries s.SP.st_hangs
           s.SP.st_worker_crashes s.SP.st_worker_restarts s.SP.st_gave_up
           s.SP.st_quarantined s.SP.st_quarantine_trips s.SP.st_chaos_injected tenants
+          (if broken = [] then "ok" else "violated")
           s.SP.st_uptime s.SP.st_draining
       end
       else begin
@@ -1751,6 +1755,17 @@ let remote_status_cmd =
               t.SP.tn_tenant t.SP.tn_submitted t.SP.tn_completed t.SP.tn_shed
               t.SP.tn_expired t.SP.tn_inflight)
           s.SP.st_tenants;
+        (match broken with
+         | [] -> print_endline "conservation: ok"
+         | ts ->
+           List.iter
+             (fun t ->
+               Printf.printf
+                 "conservation: VIOLATED by tenant %s (%d submitted <> %d completed + %d shed \
+                  + %d expired + %d in flight)\n"
+                 t.SP.tn_tenant t.SP.tn_submitted t.SP.tn_completed t.SP.tn_shed
+                 t.SP.tn_expired t.SP.tn_inflight)
+             ts);
         Printf.printf "uptime     : %.1fs%s\n" s.SP.st_uptime
           (if s.SP.st_draining then " (draining)" else "")
       end

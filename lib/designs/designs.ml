@@ -45,15 +45,19 @@ let load_program sim (h : Stu_core.handles) (p : Isa.program) =
   sim.Sim.load_mem h.Stu_core.imem p.Isa.code;
   if Array.length p.Isa.data > 0 then sim.Sim.load_mem h.Stu_core.dmem p.Isa.data
 
+(* A plain loop over [peek_int]: no closure and no [Bits.t] per cycle,
+   so a native engine runs a whole program without allocating. *)
 let run_program ?(max_cycles = 2_000_000) sim (h : Stu_core.handles) =
-  let rec go n =
-    if n >= max_cycles then failwith "Designs.run_program: no halt"
-    else begin
-      sim.Sim.step ();
-      if Bits.is_zero (sim.Sim.peek h.Stu_core.halt) then go (n + 1) else n + 1
-    end
-  in
-  go 0
+  let n = ref 0 in
+  while
+    if !n >= max_cycles then failwith "Designs.run_program: no halt";
+    sim.Sim.step ();
+    incr n;
+    sim.Sim.peek_int h.Stu_core.halt = 0
+  do
+    ()
+  done;
+  !n
 
 let run_cycles sim n =
   for _ = 1 to n do

@@ -5,8 +5,10 @@ open Gsim_ir
    bump it whenever the emitted shape, helper semantics, or the exported
    symbol contract changes, and stale cached objects stop matching.
    v2: wide (> 62-bit) values compile too, and every generated function
-   takes the wide arena as a second parameter. *)
-let abi_version = 2
+   takes the wide arena as a second parameter.
+   v3: one load per distinct variable in a node's expression, and
+   [Extract (hi, 0)] lowers to a plain mask. *)
+let abi_version = 3
 
 (* Per-subexpression width cap for wide emission: bounds the generated
    functions' stack temporaries and the helpers' fixed scratch arrays.
@@ -47,8 +49,8 @@ let compilable c (nd : Circuit.node) =
    copies on store/peek, so in-place mutation is invisible.
 
    Expressions are lowered to A-normal form — one [t<n>] temporary per
-   operator — so nested operands are never duplicated and code size
-   stays linear in expression size.
+   operator, one load per distinct variable — so nested operands are
+   never duplicated and code size stays linear in expression size.
 
    Structurally identical nodes share one function body.  Slot ids and
    narrow constants are emitted as [K[i]] references into a per-node
@@ -141,6 +143,9 @@ let emit_expr b ~param ~woff (e : Expr.t) =
       if w2 <= 30 then x
       else bind (Printf.sprintf "(%s >> 30) ? (UINT64_C(1) << 40) : (%s & %s)" x x (mask 30))
   in
+  (* A variable read twice shares its load.  The shared temporary shows
+     in the body text, so [x op x] and [x op y] never share a shape. *)
+  let loads = Hashtbl.create 8 in
   let rec go (e : Expr.t) : rep =
     let w = Expr.width e in
     match e.Expr.desc with
@@ -158,13 +163,20 @@ let emit_expr b ~param ~woff (e : Expr.t) =
           (String.concat ", " limbs);
         W t
       end
-    | Expr.Var v ->
-      if Bits.fits_int w then N (bind (Printf.sprintf "(uint64_t)(a[%s] >> 1)" (param v)))
-      else begin
-        let t = bind_w w in
-        bpf b "  gsim_wload(%s, %d, wf, %s);\n" t (nl w) (param woff.(v));
-        W t
-      end
+    | Expr.Var v -> (
+      match Hashtbl.find_opt loads v with
+      | Some r -> r
+      | None ->
+        let r =
+          if Bits.fits_int w then N (bind (Printf.sprintf "(uint64_t)(a[%s] >> 1)" (param v)))
+          else begin
+            let t = bind_w w in
+            bpf b "  gsim_wload(%s, %d, wf, %s);\n" t (nl w) (param woff.(v));
+            W t
+          end
+        in
+        Hashtbl.add loads v r;
+        r)
     | Expr.Unop (op, a) ->
       let wa = Expr.width a in
       let ra = go a in
@@ -182,6 +194,7 @@ let emit_expr b ~param ~woff (e : Expr.t) =
               bind (Printf.sprintf "(uint64_t)__builtin_parityll(%s)" x)
             | Expr.Shl_const n -> bind (Printf.sprintf "%s << %d" x n)
             | Expr.Shr_const n -> bind (Printf.sprintf "%s >> %d" x n)
+            | Expr.Extract (hi, 0) -> bind (Printf.sprintf "%s & %s" x (mask (hi + 1)))
             | Expr.Extract (hi, lo) ->
               bind (Printf.sprintf "(%s >> %d) & %s" x lo (mask (hi - lo + 1)))
             | Expr.Pad_unsigned n ->

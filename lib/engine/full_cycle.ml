@@ -97,6 +97,7 @@ let sim t =
     circuit = Runtime.circuit t.rt;
     poke = poke t;
     peek = peek t;
+    peek_int = Runtime.peek_int t.rt;
     step = (fun () -> step t);
     load_mem = load_mem t;
     read_mem = (fun mi addr -> Runtime.read_mem t.rt mi addr);

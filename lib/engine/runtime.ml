@@ -202,6 +202,8 @@ let peek t id =
   if t.is_wide.(id) then Bits.copy t.wide.(id)
   else Bits.unsafe_of_packed ~width:(node_width t id) t.narrow.(id)
 
+let peek_int t id = if t.is_wide.(id) then Bits.to_int_trunc t.wide.(id) else t.narrow.(id)
+
 let override_wide t id v =
   match Hashtbl.find_opt t.fwide id with
   | None -> v

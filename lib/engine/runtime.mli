@@ -23,6 +23,9 @@ val poke : t -> int -> Bits.t -> bool
 
 val peek : t -> int -> Bits.t
 
+val peek_int : t -> int -> int
+(** Low 62 bits of a node's value, read in place: allocates nothing. *)
+
 val load_mem : t -> int -> Bits.t array -> unit
 
 val read_mem : t -> int -> int -> Bits.t

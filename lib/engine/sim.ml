@@ -6,6 +6,7 @@ type t = {
   circuit : Circuit.t;
   poke : int -> Bits.t -> unit;
   peek : int -> Bits.t;
+  peek_int : int -> int;
   step : unit -> unit;
   load_mem : int -> Bits.t array -> unit;
   read_mem : int -> int -> Bits.t;
@@ -21,7 +22,7 @@ let run t n =
     t.step ()
   done
 
-let peek_int t id = Bits.to_int_trunc (t.peek id)
+let peek_int t id = t.peek_int id
 
 let poke_int t id v =
   let w = (Circuit.node t.circuit id).Circuit.width in
@@ -34,6 +35,7 @@ let of_reference r =
     circuit = Reference.circuit r;
     poke = Reference.poke r;
     peek = Reference.peek r;
+    peek_int = (fun id -> Bits.to_int_trunc (Reference.peek r id));
     step =
       (fun () ->
         Reference.step r;

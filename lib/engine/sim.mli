@@ -12,6 +12,9 @@ type t = {
   circuit : Circuit.t;
   poke : int -> Bits.t -> unit;
   peek : int -> Bits.t;
+  peek_int : int -> int;
+      (** Low 62 bits of a node's value; engines over a {!Runtime} read
+          the arena directly and allocate nothing. *)
   step : unit -> unit;
   load_mem : int -> Bits.t array -> unit;
   read_mem : int -> int -> Bits.t;
@@ -39,7 +42,7 @@ val run : t -> int -> unit
 (** [run t n] steps [n] cycles. *)
 
 val peek_int : t -> int -> int
-(** Low 62 bits of a node's value as an int. *)
+(** Low 62 bits of a node's value as an int ({!field-peek_int}). *)
 
 val poke_int : t -> int -> int -> unit
 (** Poke an input by int; the value is truncated to the node's width. *)

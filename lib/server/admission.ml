@@ -118,3 +118,27 @@ let budgets_to_string b =
   add "width" b.max_width;
   add "nodes" b.max_nodes;
   if !parts = [] then "unlimited" else String.concat "," !parts
+
+(* A design the frontend rejects is admitted: the worker owns the
+   diagnostic, and estimation must never change failure semantics. *)
+let check_request budgets memo req =
+  if not (limited budgets) then None
+  else
+    match (Protocol.request_design req, Protocol.request_filename req) with
+    | Some design, Some filename -> (
+      let key = Digest.to_hex (Digest.string (filename ^ "\x00" ^ design)) in
+      let est =
+        match Plan_cache.find memo key with
+        | Some e -> Some e
+        | None -> (
+          match Gsim_core.Gsim.Compile.source_of_string ~filename design with
+          | src ->
+            let e = estimate src.Gsim_core.Gsim.Compile.circuit in
+            Plan_cache.add memo key e;
+            Some e
+          | exception _ -> None)
+      in
+      match est with
+      | None -> None
+      | Some e -> ( match check budgets e with Ok () -> None | Error why -> Some why))
+    | _ -> None

@@ -48,6 +48,11 @@ val check : budgets -> estimate -> (unit, string) result
 (** [Error msg] names the first violated limit with both the estimate
     and the budget, ready to travel as the [over-budget] error text. *)
 
+val check_request : budgets -> estimate Plan_cache.t -> Protocol.request -> string option
+(** The daemon's gate: [Some why] if the request's design is over
+    budget.  Estimates are memoized in [memo] by design digest; a design
+    the frontend rejects passes (the worker reports the real error). *)
+
 val budgets_of_string : string -> budgets
 (** Parses ["nodes=200000,width=4096,mem-mb=512,arena-mb=1024,native-nodes=50000"];
     every key optional, [""] means {!unlimited}.  Raises [Failure] on an

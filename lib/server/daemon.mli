@@ -6,6 +6,21 @@
     Domains fed by a bounded priority {!Scheduler} and sharing one
     compiled-plan {!Plan_cache}.
 
+    {2 Core and shell}
+
+    Every decision about a job — admission, token dedup, brownout,
+    dispatch, completion, retry or give-up, drain — is a step of the
+    pure {!Lifecycle} core; {!serve} is the shell around it.  It owns
+    the sockets, threads, worker Domains, {!Scheduler}, {!Supervisor}
+    and {!Plan_cache}, builds each event from what its threads observe,
+    and steps it under one lock, the daemon's only policy lock.  Under
+    it the shell performs just the cheap effects (enqueue, requeue,
+    unlinking a request file); replies and log lines go out after it is
+    released, and it is never held across parsing, compilation, waiting
+    for an answer or a socket write.  Each job ends through exactly one
+    terminal transition, so [Status] is a snapshot of the core whose
+    per-tenant rows always add up.
+
     {2 Fault isolation}
 
     Workers are supervised: each Domain heartbeats through a
@@ -58,10 +73,11 @@
 
     Shutdown is a graceful drain, triggered by SIGTERM, SIGINT, or a
     [Shutdown] request: new submissions are refused, then the daemon
-    waits for worker *acknowledgements* — queued jobs, busy supervisor
-    slots and backoff-delayed retries must all reach zero before the
-    scheduler drains, so a job mid-yield or mid-retry can never be
-    dropped by the race between its requeue and the drain broadcast.
+    waits until no job is live in the core — a job stays live from
+    admission to its terminal transition, queued, running, mid-yield or
+    waiting out a retry backoff — before the scheduler drains, so none
+    can be dropped by the race between its requeue and the drain
+    broadcast.
     Worker Domains are joined only once they acknowledge; a wedged
     Domain is abandoned rather than allowed to hang the shutdown.  A
     Unix listening socket is registered with

@@ -257,6 +257,9 @@ type tenant_stat = {
   tn_inflight : int;
 }
 
+let tenant_conserves t =
+  t.tn_submitted = t.tn_completed + t.tn_shed + t.tn_expired + t.tn_inflight
+
 type status = {
   st_workers : int;
   st_queued : int;

@@ -152,15 +152,24 @@ type db_result = {
   dr_seconds : float;   (** server-side execution time *)
 }
 
-(** Per-tenant accounting row carried by {!Status}. *)
+(** Per-tenant accounting row carried by {!Status}.  Every submission
+    that is not a token replay or attach ends up in exactly one of the
+    last four counters, so a row {!tenant_conserves}. *)
 type tenant_stat = {
   tn_tenant : string;
   tn_submitted : int;
   tn_completed : int;
-  tn_shed : int;      (** refused by brownout/quota with a retry-after hint *)
+      (** answered by a worker, job-level errors included, or failed
+          after exhausting its retries *)
+  tn_shed : int;
+      (** refused without running: invalid engine options, over budget,
+          brownout, queue full or tenant quota *)
   tn_expired : int;   (** deadline-exceeded before or during execution *)
-  tn_inflight : int;  (** queued + running right now *)
+  tn_inflight : int;  (** queued, running or waiting out a retry backoff *)
 }
+
+val tenant_conserves : tenant_stat -> bool
+(** [submitted = completed + shed + expired + inflight]. *)
 
 type status = {
   st_workers : int;
@@ -186,7 +195,7 @@ type status = {
   st_quarantined : int;      (** designs currently quarantined (breaker open/probing) *)
   st_quarantine_trips : int;
   st_chaos_injected : int;   (** total faults the chaos harness injected *)
-  st_shed : int;             (** batch jobs refused by brownout/quota *)
+  st_shed : int;             (** jobs refused by brownout or a tenant quota *)
   st_over_budget : int;      (** jobs refused at admission cost estimation *)
   st_deadline_expired : int; (** jobs expired by their end-to-end deadline *)
   st_tenants : tenant_stat list;

@@ -20,7 +20,6 @@ type job = {
   tenant : string;
   deadline : float;  (* absolute Unix time; 0. = none *)
   request : P.request;
-  reply : P.response -> unit;
   mutable attempt : int;
   cancelled : bool Atomic.t;
   mutable ticks : int;
@@ -35,15 +34,13 @@ type job = {
   mutable compile_seconds : float;
 }
 
-let make_job ~id ~priority ?(tenant = Scheduler.default_tenant) ?(deadline = 0.) ~reply
-    request =
+let make_job ~id ~priority ?(tenant = Scheduler.default_tenant) ?(deadline = 0.) request =
   {
     id;
     priority;
     tenant;
     deadline;
     request;
-    reply;
     attempt = 1;
     cancelled = Atomic.make false;
     ticks = 0;
@@ -65,7 +62,7 @@ let make_job ~id ~priority ?(tenant = Scheduler.default_tenant) ?(deadline = 0.)
 let retry_of job =
   let j =
     make_job ~id:job.id ~priority:job.priority ~tenant:job.tenant ~deadline:job.deadline
-      ~reply:job.reply job.request
+      job.request
   in
   j.attempt <- job.attempt + 1;
   j.recovered <- true;
@@ -429,11 +426,51 @@ let run_cov ctx job (vj : P.cov_job) =
          dr_seconds = Unix.gettimeofday () -. t0;
        })
 
+(* Golden-trace caches are the one spool artifact that outlives its job,
+   so they are what a disk quota must police.  Evict whole cache
+   directories oldest-first until back under budget; a campaign racing
+   its own eviction merely rebuilds the trace (Campaign.run validates the
+   cache before trusting it). *)
+let enforce_golden_quota ctx ~mb =
+  if mb > 0 then begin
+    let root = Filename.concat ctx.spool "golden" in
+    let size path =
+      Array.fold_left
+        (fun acc f ->
+          try acc + (Unix.stat (Filename.concat path f)).Unix.st_size
+          with Unix.Unix_error _ -> acc)
+        0
+        (try Sys.readdir path with Sys_error _ -> [||])
+    in
+    let entries =
+      (try Array.to_list (Sys.readdir root) with Sys_error _ -> [])
+      |> List.filter_map (fun d ->
+             let path = Filename.concat root d in
+             try
+               if Sys.is_directory path then
+                 Some ((Unix.stat path).Unix.st_mtime, path, size path)
+               else None
+             with Sys_error _ | Unix.Unix_error _ -> None)
+    in
+    let total = List.fold_left (fun a (_, _, b) -> a + b) 0 entries in
+    let excess = ref (total - (mb * 1024 * 1024)) in
+    List.iter
+      (fun (_, path, bytes) ->
+        if !excess > 0 then begin
+          remove_dir path;
+          excess := !excess - bytes;
+          ctx.log
+            (Printf.sprintf "spool quota: evicted golden cache %s (%d KiB)"
+               (Filename.basename path) (bytes / 1024))
+        end)
+      (List.sort compare entries)
+  end
+
 (* --- dispatch ------------------------------------------------------------ *)
 
-let discard_scratch ctx job =
-  remove_dir (Filename.concat ctx.spool (Printf.sprintf "sim-job-%03d" job.id));
-  remove_dir (Filename.concat ctx.spool (Printf.sprintf "fuzz-job-%03d" job.id))
+let discard_scratch ctx id =
+  remove_dir (Filename.concat ctx.spool (Printf.sprintf "sim-job-%03d" id));
+  remove_dir (Filename.concat ctx.spool (Printf.sprintf "fuzz-job-%03d" id))
 
 let execute ?(beat = fun () -> ()) ctx job =
   let design = P.request_design job.request in
@@ -519,7 +556,7 @@ let execute ?(beat = fun () -> ()) ctx job =
     (* Not worth retrying: the budget is spent no matter whose fault the
        slowness was.  The spool scratch is discarded — nobody resumes a
        job whose answer is already too late. *)
-    discard_scratch ctx job;
+    discard_scratch ctx job.id;
     Done
       (P.error_resp ~code:P.Deadline_exceeded ~attempts:job.attempt
          (Printf.sprintf "deadline exceeded after %d cycle(s)" cycles))

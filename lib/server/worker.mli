@@ -41,7 +41,6 @@ type job = {
           an expired job fails with [Deadline_exceeded] instead of
           burning a worker *)
   request : Protocol.request;
-  reply : Protocol.response -> unit;  (** fulfilled exactly once, on completion *)
   mutable attempt : int;  (** 1-based; bumped by {!retry_of} *)
   cancelled : bool Atomic.t;
       (** set by the supervisor when this attempt is presumed hung;
@@ -74,7 +73,6 @@ val make_job :
   priority:int ->
   ?tenant:string ->
   ?deadline:float ->
-  reply:(Protocol.response -> unit) ->
   Protocol.request ->
   job
 
@@ -104,5 +102,10 @@ val execute : ?beat:(unit -> unit) -> context -> job -> outcome
     attempt returns [Abandoned]; only {!Chaos.Crash} escapes, on
     purpose — it simulates the Domain dying. *)
 
-val discard_scratch : context -> job -> unit
-(** Remove the job's spool ring and fuzz scratch (give-up cleanup). *)
+val discard_scratch : context -> int -> unit
+(** Remove the spool ring and fuzz scratch of the job with this id
+    (give-up and expiry cleanup). *)
+
+val enforce_golden_quota : context -> mb:int -> unit
+(** Evict golden-trace caches oldest-first until they fit in [mb] MiB;
+    [mb <= 0] disables the quota. *)

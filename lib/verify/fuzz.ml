@@ -74,6 +74,7 @@ let wrap_compiled (compiled : Gsim.compiled) : Sim.t =
   { sim with
     Sim.poke = (fun id v -> sim.Sim.poke (tr id) v);
     peek = (fun id -> sim.Sim.peek (tr id));
+    peek_int = (fun id -> sim.Sim.peek_int (tr id));
     write_reg = (fun id v -> sim.Sim.write_reg (tr id) v);
     force = (fun ?mask id v -> sim.Sim.force ?mask (tr id) v);
     release = (fun id -> sim.Sim.release (tr id)) }

@@ -530,7 +530,25 @@ let test_step_no_alloc () =
       Alcotest.(check (float 0.)) (name ^ ": minor words over 1000 steps") 0.
         (words -. overhead))
     [ ("gsim", Activity.gsim_config, Partition.gsim ~max_size:24);
-      ("essent", Activity.essent_config, Partition.mffc ~max_size:12) ]
+      ("essent", Activity.essent_config, Partition.mffc ~max_size:12) ];
+  (* The same holds for a whole program: [Designs.run_program] checks the
+     halt output with [Sim.peek_int], which reads the arena in place. *)
+  let core =
+    Designs.optimize_design ~level:Gsim_passes.Pipeline.O3 (Designs.stu_core.Designs.build ())
+  in
+  let c = core.Stu_core.circuit and h = core.Stu_core.h in
+  let sim =
+    Activity.sim
+      (Activity.create ~config:Activity.gsim_config ~backend:`Native c
+         (Partition.gsim ~max_size:24 c))
+  in
+  Designs.load_program sim h (Gsim_designs.Programs.coremark ~iters:4 ());
+  Designs.run_cycles sim 200;
+  let cycles = ref 0 in
+  let words = minor_words (fun () -> cycles := Designs.run_program sim h) in
+  let overhead = minor_words (fun () -> ()) in
+  Alcotest.(check bool) "program ran past the warm-up" true (!cycles > 1000);
+  Alcotest.(check (float 0.)) "minor words over run_program" 0. (words -. overhead)
 
 (* --- coverage databases must not depend on the backend ---------------- *)
 
@@ -702,6 +720,62 @@ let test_emitted_source () =
   Alcotest.(check bool) "wide source stores limbs" true
     (contains rw.Emit_c.source "gsim_wstore")
 
+(* One load per distinct variable: [x op x] reads [x] once and must not
+   share a shape function with [x op y], narrow or wide; a low extract is
+   a plain mask. *)
+let test_shared_loads () =
+  let c = Circuit.create ~name:"loads" () in
+  let input name w = (Circuit.add_input c ~name ~width:w).Circuit.id in
+  let x = input "x" 16 and y = input "y" 16 and xw = input "xw" 100 and yw = input "yw" 100 in
+  let v w id = Expr.var ~width:w id in
+  let logic name e =
+    let n = Circuit.add_logic c ~name e in
+    Circuit.mark_output c n.Circuit.id;
+    n.Circuit.id
+  in
+  let xx = logic "xx" (Expr.binop Expr.Add (v 16 x) (v 16 x)) in
+  let xy = logic "xy" (Expr.binop Expr.Add (v 16 x) (v 16 y)) in
+  let ww = logic "ww" (Expr.binop Expr.Xor (v 100 xw) (v 100 xw)) in
+  let wy = logic "wy" (Expr.binop Expr.Xor (v 100 xw) (v 100 yw)) in
+  ignore (logic "lo" (Expr.unop (Expr.Extract (7, 0)) (v 16 y)));
+  let src = (Emit_c.emit c).Emit_c.source in
+  let index_from s i sub =
+    let n = String.length s and m = String.length sub in
+    let rec go i =
+      if i + m > n then raise Not_found else if String.sub s i m = sub then i else go (i + 1)
+    in
+    go i
+  in
+  let shape id =
+    let i = index_from src 0 (Printf.sprintf "gsim_n%d(long" id) in
+    let j = index_from src i "return gsim_s" + 7 in
+    String.sub src j (index_from src j "(" - j)
+  in
+  let loads sh =
+    let i = index_from src 0 (Printf.sprintf "static long %s(" sh) in
+    let body = String.sub src i (index_from src i "\n}\n" - i) in
+    let count sub =
+      let rec go i k =
+        match index_from body i sub with j -> go (j + 1) (k + 1) | exception Not_found -> k
+      in
+      go 0 0
+    in
+    count "(a[K[" + count "gsim_wload("
+  in
+  Alcotest.(check bool) "narrow x+x and x+y differ" true (shape xx <> shape xy);
+  Alcotest.(check bool) "wide x^x and x^y differ" true (shape ww <> shape wy);
+  Alcotest.(check (list int)) "loads per shape" [ 1; 2; 1; 2 ]
+    (List.map (fun id -> loads (shape id)) [ xx; xy; ww; wy ]);
+  Alcotest.(check bool) "no shift by zero" false
+    (match index_from src 0 ">> 0)" with _ -> true | exception Not_found -> false);
+  skip_without_cc ();
+  let st = Random.State.make [| 42 |] in
+  let stimulus = Rand_circuit.random_stimulus st c ~cycles:20 in
+  let observe = List.map (fun (n : Circuit.node) -> n.Circuit.id) (Circuit.outputs c) in
+  let expected = Sim.trace (Sim.of_reference (Reference.create c)) ~observe ~stimulus in
+  let got = Sim.trace (Full_cycle.sim (Full_cycle.create ~backend:`Native c)) ~observe ~stimulus in
+  Alcotest.(check bool) "native equals reference" true (Sim.equal_traces expected got)
+
 let () =
   Alcotest.run "native"
     [
@@ -726,5 +800,6 @@ let () =
       ( "auto",
         [ Alcotest.test_case "size-based selection" `Quick test_auto_heuristic ] );
       ( "emit",
-        [ Alcotest.test_case "source shape" `Quick test_emitted_source ] );
+        [ Alcotest.test_case "source shape" `Quick test_emitted_source;
+          Alcotest.test_case "shared loads keep shapes apart" `Quick test_shared_loads ] );
     ]

@@ -375,16 +375,15 @@ let test_preemption_identity () =
       sj_opts = P.default_engine_opts; sj_cycles = 95; sj_pokes = [ "en=1" ];
       sj_token = None; sj_tenant = None; sj_deadline = 0. }
   in
-  let result = ref None in
   let job =
-    Worker.make_job ~id:1 ~priority:1 ~reply:(fun r -> result := Some r)
+    Worker.make_job ~id:1 ~priority:1
       (P.Sim (P.Batch, sj))
   in
   (* Higher-priority work is already waiting, so the batch job yields at
      its first 10-cycle stride — repeatedly, as long as we keep the
      interactive queue non-empty. *)
   let interactive =
-    Worker.make_job ~id:2 ~priority:0 ~reply:ignore (P.Sim (P.Interactive, sj))
+    Worker.make_job ~id:2 ~priority:0 (P.Sim (P.Interactive, sj))
   in
   Alcotest.(check bool) "queue interactive" true
     (accepted (Scheduler.submit sched ~priority:0 interactive));
@@ -406,7 +405,7 @@ let test_preemption_identity () =
      Alcotest.(check int) "one preemption" 1 r.P.sr_preemptions;
      (* The interrupted run must equal an uninterrupted one. *)
      let uj =
-       Worker.make_job ~id:3 ~priority:0 ~reply:ignore (P.Sim (P.Interactive, sj))
+       Worker.make_job ~id:3 ~priority:0 (P.Sim (P.Interactive, sj))
      in
      (match Worker.execute ctx uj with
       | Worker.Done (P.Sim_done u) ->
@@ -440,7 +439,7 @@ let test_worker_spool_resume () =
   in
   let expected =
     let uj =
-      Worker.make_job ~id:99 ~priority:0 ~reply:ignore (P.Sim (P.Interactive, sj))
+      Worker.make_job ~id:99 ~priority:0 (P.Sim (P.Interactive, sj))
     in
     match Worker.execute ctx uj with
     | Worker.Done (P.Sim_done u) -> u.P.sr_outputs
@@ -450,12 +449,12 @@ let test_worker_spool_resume () =
      the spool ring holds a keyframe and a two-delta chain. *)
   let build_chain id =
     let interactive =
-      Worker.make_job ~id:(50 + id) ~priority:0 ~reply:ignore (P.Sim (P.Interactive, sj))
+      Worker.make_job ~id:(50 + id) ~priority:0 (P.Sim (P.Interactive, sj))
     in
     Alcotest.(check bool) "queue interactive" true
       (accepted (Scheduler.submit sched ~priority:0 interactive));
     let job =
-      Worker.make_job ~id ~priority:1 ~reply:ignore (P.Sim (P.Batch, sj))
+      Worker.make_job ~id ~priority:1 (P.Sim (P.Batch, sj))
     in
     for _ = 1 to 3 do
       match Worker.execute ctx job with
@@ -475,9 +474,8 @@ let test_worker_spool_resume () =
   (* The daemon died: a fresh job record (no in-memory checkpoint) marked
      [recovered] must resume from the on-disk chain, not cycle 0. *)
   let resume id expect_cycle =
-    let result = ref None in
     let rj =
-      Worker.make_job ~id ~priority:1 ~reply:(fun r -> result := Some r)
+      Worker.make_job ~id ~priority:1
         (P.Sim (P.Batch, sj))
     in
     rj.Worker.recovered <- true;
