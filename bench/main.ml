@@ -1368,6 +1368,7 @@ let micro () =
   header "Micro (bechamel) - kernel inner loops";
   let open Bechamel in
   let core = build_design Designs.rocket_like in
+  let boom = build_design Designs.boom_like in
   let prog = coremark_long () in
   let make_step config =
     let compiled = Gsim.instantiate config core.Stu_core.circuit in
@@ -1391,6 +1392,8 @@ let micro () =
       Test.make ~name:"pipeline.o3_rocket"
         (Staged.stage (fun () ->
              ignore (Pipeline.optimize ~level:Pipeline.O3 (Circuit.copy core.Stu_core.circuit))));
+      Test.make ~name:"circuit.digest_boom"
+        (Staged.stage (fun () -> ignore (Circuit.digest boom.Stu_core.circuit)));
     ]
   in
   let instances = Toolkit.Instance.[ monotonic_clock ] in

@@ -132,6 +132,9 @@ type prepared = {
   p_id_map : int array;
   p_outcomes : Pass.outcome list;
   p_forcible : int list;  (* forcible ids mapped into the optimized circuit *)
+  p_digest : Digest.t option Atomic.t;
+      (* [Circuit.digest p_circuit], walked on the first realize that asks
+         for the native object and shared by every later one *)
 }
 
 let prepare_exn ~compact ~forcible ~keep config circuit =
@@ -192,26 +195,37 @@ let prepare_exn ~compact ~forcible ~keep config circuit =
     p_id_map = id_map;
     p_outcomes = outcomes;
     p_forcible = forcible_ids;
+    p_digest = Atomic.make None;
   }
+
+(* Concurrent first realizes may both walk; they store the same value. *)
+let prepared_digest p () =
+  match Atomic.get p.p_digest with
+  | Some d -> d
+  | None ->
+    let d = Circuit.digest p.p_circuit in
+    Atomic.set p.p_digest (Some d);
+    d
 
 let realize_prepared p =
   let config = p.p_config in
   let c = p.p_circuit in
+  let digest = prepared_digest p in
   let sim, supernodes, activity, runtime, destroy =
     match (config.engine, p.p_partition) with
     | Reference_engine, _ ->
       (Sim.of_reference (Reference.create c), 0, None, None, fun () -> ())
     | Full_cycle_engine 1, _ ->
-      let t = Full_cycle.create ~backend:config.backend ~forcible:p.p_forcible c in
+      let t = Full_cycle.create ~backend:config.backend ~digest ~forcible:p.p_forcible c in
       (Full_cycle.sim t, 0, None, Some (Full_cycle.runtime t), fun () -> ())
     | Full_cycle_engine threads, _ ->
-      let t = Parallel.create ~backend:config.backend ~forcible:p.p_forcible ~threads c in
+      let t = Parallel.create ~backend:config.backend ~digest ~forcible:p.p_forcible ~threads c in
       (Parallel.sim t, 0, None, Some (Parallel.runtime t), fun () -> Parallel.destroy t)
     | (Essent_engine | Gsim_engine_kind), Some part ->
       let t =
         Activity.create
           ~config:{ Activity.packed_exam = config.packed_exam; activation = config.activation }
-          ~backend:config.backend ~forcible:p.p_forcible c part
+          ~backend:config.backend ~digest ~forcible:p.p_forcible c part
       in
       ( Activity.sim ~name:config.config_name t,
         Array.length part.Partition.supernodes,
@@ -285,7 +299,7 @@ let config_of_names ~engine ~threads ~level ~max_supernode ~backend =
 module Compile = struct
   type source = { circuit : Circuit.t; halt : int option; hash : string }
 
-  let hash_circuit c = Digest.to_hex (Digest.string (Ir_text.to_string c))
+  let hash_circuit c = Digest.to_hex (Circuit.digest c)
 
   let of_circuit ?halt circuit = { circuit; halt; hash = hash_circuit circuit }
 

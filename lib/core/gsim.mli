@@ -131,14 +131,16 @@ val config_of_names : engine:string -> threads:int -> level:string option ->
     immutable once built: [realize] only reads it, so one plan can back
     any number of concurrent simulator instances (each [realize] call
     allocates its own runtime arena).  This is what the daemon's
-    compiled-plan cache stores, keyed by {!Compile.key} — the digest of
-    the circuit's canonical {!Gsim_ir.Ir_text} form plus the config
-    {!Compile.fingerprint}. *)
+    compiled-plan cache stores, keyed by {!Compile.key} — the circuit's
+    structural {!Gsim_ir.Circuit.digest} plus the config
+    {!Compile.fingerprint}.  The plan walks its optimized circuit's digest
+    once, on the first [realize] that loads the native object, and hands
+    it to every later one, so a warm native memo hit walks nothing. *)
 module Compile : sig
   type source = {
     circuit : Circuit.t;
     halt : int option;  (** ["$halt"] node id in [circuit], if any *)
-    hash : string;      (** digest of the canonical IR text *)
+    hash : string;      (** hex of {!Gsim_ir.Circuit.digest} [circuit] *)
   }
 
   val of_circuit : ?halt:int -> Circuit.t -> source

@@ -285,8 +285,8 @@ let sweep_tables t (u : Native.unit_t) ~config ~is_forcible part member_targets
               part.Partition.supernodes));
   }
 
-let create ?(config = gsim_config) ?(backend = Eval.default) ?(forcible = []) c part =
-  let sel = Eval.select backend c in
+let create ?(config = gsim_config) ?(backend = Eval.default) ?digest ?(forcible = []) c part =
+  let sel = Eval.select ?digest backend c in
   let rt = Runtime.create c in
   let fset = Hashtbl.create (max (2 * List.length forcible) 1) in
   List.iter

@@ -50,9 +50,10 @@ val gsim_config : config
 type t
 
 val create :
-  ?config:config -> ?backend:Eval.backend -> ?forcible:int list ->
-  Circuit.t -> Partition.t -> t
-(** [backend] defaults to {!Eval.default} ([`Auto]).
+  ?config:config -> ?backend:Eval.backend -> ?digest:(unit -> Digest.t) ->
+  ?forcible:int list -> Circuit.t -> Partition.t -> t
+(** [backend] defaults to {!Eval.default} ([`Auto]); [digest] is passed
+    to {!Eval.select}.
     The partition must be valid for the circuit (see
     {!Partition.validate}); all supernodes start active.
     [forcible] declares fault-injection targets: those nodes evaluate

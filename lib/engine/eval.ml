@@ -59,16 +59,17 @@ let cache_of_origin = function
 
 let closures = { native = None; cache = "" }
 
-let native c =
+let native ?digest c =
+  let digest = Option.map (fun f -> f ()) digest in
   Option.map
     (fun (u, origin) -> { native = Some u; cache = cache_of_origin origin })
-    (Native.load c)
+    (Native.load ?digest c)
 
-let select backend c =
+let select ?digest backend c =
   match backend with
   | `Closures -> closures
   | `Native -> (
-    match native c with
+    match native ?digest c with
     | Some sel -> sel
     | None ->
       diag
@@ -77,7 +78,7 @@ let select backend c =
       closures)
   | `Auto ->
     if circuit_size c >= native_threshold && Native.available () then
-      Option.value (native c) ~default:closures
+      Option.value (native ?digest c) ~default:closures
     else closures
 
 let effective_string sel = if sel.native = None then "closures" else "native"

@@ -44,9 +44,12 @@ type selected = {
           {!Counters.t.native_cache} *)
 }
 
-val select : backend -> Circuit.t -> selected
+val select : ?digest:(unit -> Digest.t) -> backend -> Circuit.t -> selected
 (** Resolve [backend] for [c], loading (or compiling) the native unit
-    when called for; native falls back to closures when unavailable. *)
+    when called for; native falls back to closures when unavailable.
+    [digest], when given, returns {!Circuit.digest} [c]; it is called
+    only when the native object is loaded, so a caller that already holds
+    the digest spares {!Native.load} its walk over [c]. *)
 
 val effective_string : selected -> string
 (** ["native"] or ["closures"]: the backend that actually runs. *)

@@ -16,7 +16,7 @@ type t = {
   counters : Counters.t;
 }
 
-let create ?(backend = Eval.default) ?(forcible = []) c =
+let create ?(backend = Eval.default) ?digest ?(forcible = []) c =
   let order = Circuit.eval_order c in
   let registers = Circuit.registers c in
   let fset = Hashtbl.create (max (2 * List.length forcible) 1) in
@@ -27,7 +27,7 @@ let create ?(backend = Eval.default) ?(forcible = []) c =
       | _ -> Hashtbl.replace fset id ())
     forcible;
   let is_forcible id = Hashtbl.mem fset id in
-  let sel = Eval.select backend c in
+  let sel = Eval.select ?digest backend c in
   let rt = Runtime.create c in
   let sweeps = Eval.realize rt (Eval.plan ~forcible:is_forcible sel order) in
   let reg_commit = Runtime.reg_committer rt ~forcible:is_forcible registers in

@@ -10,8 +10,10 @@ open Gsim_ir
 
 type t
 
-val create : ?backend:Eval.backend -> ?forcible:int list -> Circuit.t -> t
-(** [backend] defaults to {!Eval.default} ([`Auto]).  [forcible]
+val create :
+  ?backend:Eval.backend -> ?digest:(unit -> Digest.t) -> ?forcible:int list -> Circuit.t -> t
+(** [backend] defaults to {!Eval.default} ([`Auto]); [digest] is passed
+    to {!Eval.select}.  [forcible]
     declares fault-injection targets: those nodes evaluate through
     guarded closures (never inside native runs) so {!force} overrides
     are visible to every consumer. *)

@@ -4,8 +4,8 @@
    flat wide mirror, and the wide Bits.t arena, whose limb words the
    generated code mutates in place).
 
-   Compiled objects are cached on disk keyed by a digest of the canonical
-   IR text (the same serialization Gsim.Compile hashes) plus the emitter
+   Compiled objects are cached on disk keyed by the structural
+   Circuit.digest (the key Gsim.Compile uses too) tagged with the emitter
    ABI version, and memoized in-process so concurrent daemon workers and
    repeated jobs reuse one warm handle without touching the compiler or
    the filesystem. *)
@@ -100,10 +100,8 @@ let rec mkdir_p dir =
     try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
 
-let digest_of c =
-  Digest.to_hex
-    (Digest.string
-       (Printf.sprintf "gsim-native-abi%d\n%s" Emit_c.abi_version (Ir_text.to_string c)))
+let key_of_digest d =
+  Digest.to_hex (Digest.string (Printf.sprintf "gsim-native-abi%d\n%s" Emit_c.abi_version d))
 
 (* ------------------------------------------------------------------ *)
 (* Statistics                                                          *)
@@ -120,6 +118,11 @@ type stats = {
 
 let stats =
   { compiles = 0; disk_hits = 0; memo_hits = 0; failures = 0; timeouts = 0; evictions = 0 }
+
+(* Guards the memo table and [stats], never a compile: see [load]. *)
+let memo_lock = Mutex.create ()
+
+let count f = Mutex.protect memo_lock (fun () -> f stats)
 
 (* GSIM_NATIVE_CACHE_MB bounds the on-disk object cache (default
    512 MiB; 0 = unlimited).  Eviction is LRU by the .so's mtime, which
@@ -158,7 +161,7 @@ let prune_cache ?keep dir =
             (try Sys.remove (Filename.concat dir (digest ^ ".so")) with Sys_error _ -> ());
             (try Sys.remove (Filename.concat dir (digest ^ ".c")) with Sys_error _ -> ());
             excess := !excess - bytes;
-            stats.evictions <- stats.evictions + 1
+            count (fun s -> s.evictions <- s.evictions + 1)
           end)
         (List.sort compare entries)
     end
@@ -241,7 +244,7 @@ let compile_so ~cc ~c_path ~so_path =
   let timeout = cc_timeout_seconds () in
   match run_guarded cmd ~timeout with
   | Error () ->
-    stats.timeouts <- stats.timeouts + 1;
+    count (fun s -> s.timeouts <- s.timeouts + 1);
     (try Sys.remove log with Sys_error _ -> ());
     (try Sys.remove tmp with Sys_error _ -> ());
     Error
@@ -273,20 +276,30 @@ let bind_so ~digest ~so_path ~c_path ~compiled_nodes =
   let fns = load_table handle Emit_c.abi_version in
   { digest; so_path; c_path; fns; compiled_nodes }
 
-(* Process-wide memo: digest -> unit.  Negative results (compile/bind
+(* Process-wide memo: key -> entry.  Negative results (compile/bind
    failures) are memoized too, so a broken compiler is probed once per
-   circuit rather than once per engine instance. *)
-let memo : (string, unit_t option) Hashtbl.t = Hashtbl.create 16
-let memo_lock = Mutex.create ()
+   circuit rather than once per engine instance.  A key whose object is
+   being built maps to [Building]; its other loaders wait on [built] for
+   that result instead of compiling again (two builds of one key in this
+   process would share the pid-unique temp object). *)
+type entry = Building | Built of unit_t option
 
-let load_uncached c digest =
+let memo : (string, entry) Hashtbl.t = Hashtbl.create 16
+let built = Condition.create ()
+
+let load_uncached c key =
   match find_compiler () with
   | None -> None
   | Some cc ->
     let dir = cache_dir () in
     (try mkdir_p dir with Unix.Unix_error _ | Sys_error _ -> ());
-    let so_path = Filename.concat dir (digest ^ ".so") in
-    let c_path = Filename.concat dir (digest ^ ".c") in
+    let so_path = Filename.concat dir (key ^ ".so") in
+    let c_path = Filename.concat dir (key ^ ".c") in
+    let failed msg =
+      count (fun s -> s.failures <- s.failures + 1);
+      prerr_endline ("gsim: native backend: " ^ msg);
+      None
+    in
     if Sys.file_exists so_path then begin
       (* Skip emission entirely: only the per-node gate is needed to
          report how many nodes the cached object covers. *)
@@ -294,58 +307,66 @@ let load_uncached c digest =
         Circuit.fold_nodes c ~init:0 ~f:(fun acc nd ->
             if Emit_c.compilable c nd then acc + 1 else acc)
       in
-      try
-        let u = bind_so ~digest ~so_path ~c_path ~compiled_nodes in
-        stats.disk_hits <- stats.disk_hits + 1;
+      match bind_so ~digest:key ~so_path ~c_path ~compiled_nodes with
+      | u ->
+        count (fun s -> s.disk_hits <- s.disk_hits + 1);
         (* Refresh recency so the quota pruner evicts cold digests first. *)
         (try Unix.utimes so_path 0. 0. with Unix.Unix_error _ -> ());
-        Some u
-      with Failure msg ->
-        stats.failures <- stats.failures + 1;
-        prerr_endline ("gsim: native backend: stale cache object: " ^ msg);
-        None
+        Some (u, Disk_hit)
+      | exception Failure msg -> failed ("stale cache object: " ^ msg)
     end
     else begin
       let r = Emit_c.emit c in
       try
         write_file c_path r.Emit_c.source;
         match compile_so ~cc ~c_path ~so_path with
-        | Error msg ->
-          stats.failures <- stats.failures + 1;
-          prerr_endline ("gsim: native backend: " ^ msg);
-          None
+        | Error msg -> failed msg
         | Ok () ->
           let u =
-            bind_so ~digest ~so_path ~c_path ~compiled_nodes:r.Emit_c.compiled_nodes
+            bind_so ~digest:key ~so_path ~c_path ~compiled_nodes:r.Emit_c.compiled_nodes
           in
-          stats.compiles <- stats.compiles + 1;
-          prune_cache ~keep:digest dir;
-          Some u
-      with
-      | Failure msg | Sys_error msg ->
-        stats.failures <- stats.failures + 1;
-        prerr_endline ("gsim: native backend: " ^ msg);
-        None
+          count (fun s -> s.compiles <- s.compiles + 1);
+          prune_cache ~keep:key dir;
+          Some (u, Compiled)
+      with Failure msg | Sys_error msg -> failed msg
     end
 
-let load c =
+(* [memo_lock] is held only for the table: emit, [cc] and [dlopen] run
+   outside it, so a memo hit never waits for another circuit's compile. *)
+let load ?digest c =
   if not (enabled ()) then None
-  else
-    let digest = digest_of c in
-    Mutex.protect memo_lock (fun () ->
-        match Hashtbl.find_opt memo digest with
-        | Some (Some u) ->
-          stats.memo_hits <- stats.memo_hits + 1;
-          Some (u, Memo_hit)
-        | Some None -> None
-        | None ->
-          let first_compile = stats.compiles in
-          let u = load_uncached c digest in
-          Hashtbl.replace memo digest u;
-          (match u with
-           | Some u ->
-             Some (u, if stats.compiles > first_compile then Compiled else Disk_hit)
-           | None -> None))
+  else begin
+    let key = key_of_digest (match digest with Some d -> d | None -> Circuit.digest c) in
+    let rec lookup () =
+      match Hashtbl.find_opt memo key with
+      | Some Building ->
+        Condition.wait built memo_lock;
+        lookup ()
+      | Some (Built (Some u)) ->
+        stats.memo_hits <- stats.memo_hits + 1;
+        `Done (Some (u, Memo_hit))
+      | Some (Built None) -> `Done None
+      | None ->
+        Hashtbl.replace memo key Building;
+        `Build
+    in
+    match Mutex.protect memo_lock lookup with
+    | `Done r -> r
+    | `Build ->
+      let settle update =
+        Mutex.protect memo_lock (fun () ->
+            update ();
+            Condition.broadcast built)
+      in
+      (match load_uncached c key with
+       | r ->
+         settle (fun () -> Hashtbl.replace memo key (Built (Option.map fst r)));
+         r
+       | exception e ->
+         (* Unexpected: leave the key unbuilt so a waiter retries. *)
+         settle (fun () -> Hashtbl.remove memo key);
+         raise e)
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Evaluator surface                                                   *)

@@ -10,13 +10,15 @@
     engines' native sweep, which reads {!unit_t.fns} directly into its
     own tables ({!Activity}).
 
-    Compiled objects are cached on disk keyed by the MD5 of the canonical
-    IR text (the same serialization {!Gsim.Compile} hashes) plus the
+    Compiled objects are cached on disk keyed by the structural
+    {!Circuit.digest} (the key {!Gsim.Compile} uses too) tagged with the
     emitter's ABI version, and memoized in-process: daemon workers and
     repeated jobs on the same circuit share one warm handle with no
-    compiler or filesystem traffic.  Handles are never [dlclose]d (live
-    evaluators capture table entries); the memo bounds the leak to one
-    handle per distinct circuit per process.
+    compiler or filesystem traffic.  The memo's lock covers only its
+    table, so a memo hit never waits for another circuit's compile;
+    concurrent loads of one circuit share a single compile.  Handles are
+    never [dlclose]d (live evaluators capture table entries); the memo
+    bounds the leak to one handle per distinct circuit per process.
 
     Environment switches, re-read on every call so tests can flip them:
     - [GSIM_NATIVE=off] disables the backend (engines run closures);
@@ -37,7 +39,7 @@
 open Gsim_ir
 
 type unit_t = {
-  digest : string;         (** cache key: MD5 of ABI tag + canonical IR *)
+  digest : string;         (** cache key: MD5 of ABI tag + {!Circuit.digest} *)
   so_path : string;        (** cached shared object *)
   c_path : string;         (** generated source, kept for inspection/CI *)
   fns : int array;         (** per node id: tagged fn pointer, 0 = none *)
@@ -58,9 +60,10 @@ val find_compiler : unit -> string option
 
 val cache_dir : unit -> string
 
-val load : Circuit.t -> (unit_t * origin) option
+val load : ?digest:Digest.t -> Circuit.t -> (unit_t * origin) option
 (** Emit, compile (or reuse a cached object), and bind the circuit's
-    native unit.  [None] when the backend is disabled, no compiler is
+    native unit.  [digest] is {!Circuit.digest} of the circuit when the
+    caller already holds it; without it [load] walks the circuit once.  [None] when the backend is disabled, no compiler is
     found, or compilation/binding fails — callers degrade to an
     interpreted backend.  Failures print a one-line diagnostic and are
     memoized per circuit, so a broken toolchain is probed once. *)

@@ -104,7 +104,7 @@ let split_slice arr threads w =
   let len = base + if w < extra then 1 else 0 in
   Array.sub arr start len
 
-let create ?(backend = Eval.default) ?(forcible = []) ~threads c =
+let create ?(backend = Eval.default) ?digest ?(forcible = []) ~threads c =
   if threads < 1 then invalid_arg "Parallel.create: threads >= 1";
   let buckets = levels_of c in
   let total_evals = Array.fold_left (fun acc b -> acc + List.length b) 0 buckets in
@@ -117,7 +117,7 @@ let create ?(backend = Eval.default) ?(forcible = []) ~threads c =
       | _ -> Hashtbl.replace fset id ())
     forcible;
   let is_forcible id = Hashtbl.mem fset id in
-  let sel = Eval.select backend c in
+  let sel = Eval.select ?digest backend c in
   let rt = Runtime.create c in
   (* Split each level's ids across workers first, then plan each worker's
      share: same-level nodes never consume each other, and cross-level

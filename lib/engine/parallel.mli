@@ -13,8 +13,11 @@ open Gsim_ir
 
 type t
 
-val create : ?backend:Eval.backend -> ?forcible:int list -> threads:int -> Circuit.t -> t
-(** [backend] defaults to {!Eval.default} ([`Auto]);
+val create :
+  ?backend:Eval.backend -> ?digest:(unit -> Digest.t) -> ?forcible:int list -> threads:int ->
+  Circuit.t -> t
+(** [backend] defaults to {!Eval.default} ([`Auto]); [digest] is passed
+    to {!Eval.select};
     [threads >= 1]; one means no worker domains (sequential).
     [forcible] declares fault-injection targets (see
     {!Full_cycle.create}). *)

@@ -598,3 +598,129 @@ let stats c =
 let pp_stats fmt s =
   Format.fprintf fmt "nodes=%d edges=%d registers=%d memories=%d" s.ir_nodes s.ir_edges
     s.registers_count s.memories_count
+
+(* ------------------------------------------------------------------ *)
+(* Digest                                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* A prefix-free byte stream over the facts [Ir_text.to_string] prints:
+   integers as LEB128 (bit pattern, so negative values terminate too),
+   strings length-prefixed, every variant led by a tag. *)
+let rec add_int buf n =
+  if n land lnot 0x7f = 0 then Buffer.add_char buf (Char.unsafe_chr n)
+  else begin
+    Buffer.add_char buf (Char.unsafe_chr (n land 0x7f lor 0x80));
+    add_int buf (n lsr 7)
+  end
+
+let add_string buf s =
+  add_int buf (String.length s);
+  Buffer.add_string buf s
+
+let add_bits buf b =
+  let w = Bits.width b in
+  add_int buf w;
+  for i = 0 to Bits.nlimbs w - 1 do
+    add_int buf (Bits.limb b i)
+  done
+
+let binop_tag : Expr.binop -> int = function
+  | Add -> 0 | Sub -> 1 | Mul -> 2 | Div -> 3 | Div_signed -> 4
+  | Rem -> 5 | Rem_signed -> 6 | And -> 7 | Or -> 8 | Xor -> 9 | Cat -> 10
+  | Eq -> 11 | Neq -> 12 | Lt -> 13 | Leq -> 14 | Gt -> 15 | Geq -> 16
+  | Lt_signed -> 17 | Leq_signed -> 18 | Gt_signed -> 19 | Geq_signed -> 20
+  | Dshl -> 21 | Dshr -> 22 | Dshr_signed -> 23
+
+let rec add_expr buf (e : Expr.t) =
+  add_int buf e.width;
+  match e.desc with
+  | Const b -> add_int buf 0; add_bits buf b
+  | Var v -> add_int buf 1; add_int buf v
+  | Mux (s, a, b) -> add_int buf 2; add_expr buf s; add_expr buf a; add_expr buf b
+  | Unop (op, a) ->
+    (match op with
+     | Not -> add_int buf 3
+     | Neg -> add_int buf 4
+     | Reduce_and -> add_int buf 5
+     | Reduce_or -> add_int buf 6
+     | Reduce_xor -> add_int buf 7
+     | Shl_const n -> add_int buf 8; add_int buf n
+     | Shr_const n -> add_int buf 9; add_int buf n
+     | Extract (hi, lo) -> add_int buf 10; add_int buf hi; add_int buf lo
+     | Pad_unsigned n -> add_int buf 11; add_int buf n
+     | Pad_signed n -> add_int buf 12; add_int buf n);
+    add_expr buf a
+  | Binop (op, a, b) ->
+    add_int buf (16 + binop_tag op);
+    add_expr buf a;
+    add_expr buf b
+
+let add_opt buf = function
+  | None -> add_int buf 0
+  | Some n -> add_int buf 1; add_int buf n
+
+(* Same sections, in the same order, as the text: memories, nodes,
+   registers, then each memory's read and write ports. *)
+let digest c =
+  let buf = Buffer.create (64 * (c.len + 1)) in
+  add_string buf "gsim-circuit-digest 1";
+  add_string buf c.circuit_name;
+  let mems = memories c in
+  add_int buf (Array.length mems);
+  Array.iter
+    (fun m -> add_int buf m.mem_width; add_int buf m.depth; add_string buf m.mem_name)
+    mems;
+  add_int buf (node_count c);
+  iter_nodes c (fun n ->
+      add_int buf n.id;
+      (match n.kind with
+       | Input -> add_int buf 0
+       | Logic -> add_int buf 1
+       | Reg_read _ -> add_int buf 2
+       | Reg_next _ -> add_int buf 3
+       | Mem_read p -> add_int buf 4; add_int buf p);
+      add_int buf n.width;
+      add_string buf n.name;
+      (match n.expr with None -> add_int buf 0 | Some e -> add_int buf 1; add_expr buf e);
+      add_int buf (Bool.to_int n.is_output));
+  let regs = registers c in
+  add_int buf (List.length regs);
+  List.iter
+    (fun r ->
+      add_int buf r.read;
+      add_int buf r.next;
+      add_bits buf r.init;
+      (match r.reset with
+       | None -> add_int buf 0
+       | Some rst ->
+         add_int buf (if rst.slow_path then 2 else 1);
+         add_int buf rst.reset_signal;
+         add_bits buf rst.reset_value);
+      add_string buf r.reg_name)
+    regs;
+  Array.iteri
+    (fun mem m ->
+      List.iter
+        (fun data ->
+          match node_opt c data with
+          | Some { kind = Mem_read p; _ } ->
+            let port = read_port c p in
+            add_int buf 1;
+            add_int buf p;
+            add_int buf port.r_mem;
+            add_int buf port.r_data;
+            add_int buf port.r_addr;
+            add_opt buf port.r_en
+          | Some _ | None -> ())
+        (List.rev m.read_port_ids);
+      List.iter
+        (fun w ->
+          add_int buf 2;
+          add_int buf mem;
+          add_int buf w.w_addr;
+          add_int buf w.w_data;
+          add_int buf w.w_en)
+        (List.rev m.write_ports))
+    mems;
+  add_int buf 0;
+  Digest.string (Buffer.contents buf)

@@ -191,6 +191,16 @@ val compact : t -> int array
 (** Renumber nodes densely.  Returns the old-id -> new-id map (-1 for
     deleted ids). *)
 
+val digest : t -> Digest.t
+(** 128-bit digest of one binary walk over exactly the facts
+    {!Ir_text.to_string} prints: the circuit name, the memories, each
+    live node's id, kind, width, name, expression (operator tags, widths,
+    constant limbs) and output mark, the live registers with init and
+    reset (signal, value, slow-path flag), and the read and write ports.
+    Circuits built separately with equal text digest equal.  It is the
+    one circuit key: the plan cache and the native object cache both use
+    it. *)
+
 (** {1 Statistics} *)
 
 type stats = { ir_nodes : int; ir_edges : int; registers_count : int; memories_count : int }

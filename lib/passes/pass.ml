@@ -24,7 +24,6 @@ let run_fixpoint ?(max_rounds = 8) passes c =
     if round >= max_rounds then List.rev acc
     else begin
       let outcomes = run_pipeline passes c in
-      Circuit.validate c;
       let changed = List.exists (fun o -> o.rewrites > 0) outcomes in
       let acc = List.rev_append outcomes acc in
       if changed then go (round + 1) acc else List.rev acc

@@ -24,7 +24,9 @@ val run_pipeline : t list -> Circuit.t -> outcome list
 
 val run_fixpoint : ?max_rounds:int -> t list -> Circuit.t -> outcome list
 (** Repeats the pipeline until a full round performs no rewrites (or the
-    round bound is hit).  Validates the circuit after every round. *)
+    round bound is hit).  It does not validate: {!Pipeline.optimize}
+    validates the result once, and the fuzzer's bisection validates after
+    every single application. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit
 

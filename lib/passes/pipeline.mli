@@ -21,7 +21,7 @@ val level_to_string : level -> string
 type stage = { stage_passes : Pass.t list; stage_max_rounds : int }
 (** One fixpoint of a pass list, bounded by [stage_max_rounds] rounds
     ({!Pass.run_fixpoint} semantics: stop early when a round performs no
-    rewrites, validate after every round). *)
+    rewrites). *)
 
 val plan : level -> stage list
 (** The exact stage sequence {!optimize} runs for a level.  The fuzzer's
@@ -29,7 +29,8 @@ val plan : level -> stage list
     time to name the first application after which a failure appears. *)
 
 val optimize : ?level:level -> Circuit.t -> Pass.outcome list
-(** Runs the pipeline in place (default [O3]) and validates the result.
+(** Runs the pipeline in place (default [O3]) and validates the result,
+    once, after the last stage.
     Node ids of inputs and output-marked nodes are preserved. *)
 
 val optimize_and_compact : ?level:level -> Circuit.t -> int array

@@ -29,8 +29,9 @@ let culprit_to_string = function
    If the unoptimized circuit already fails, the pipeline is innocent and
    the blame splits between backend and engine.  Otherwise we replay the
    exact stage plan the failing opt level runs ({!Pipeline.plan}, same
-   fixpoint bounds), re-testing after every pass application that rewrote
-   something; the first application after which the failure appears is the
+   fixpoint bounds), validating after every pass application and
+   re-testing after every one that rewrote something; the first
+   application after which the IR is invalid or the failure appears is the
    culprit. *)
 let run ~level ~engine_name ~backend_name ?test_alt ~test circuit =
   if test circuit then
@@ -55,17 +56,20 @@ let run ~level ~engine_name ~backend_name ?test_alt ~test circuit =
                  if !result = None then begin
                    let o = Pass.apply p work in
                    incr app;
-                   if o.Pass.rewrites > 0 then begin
-                     changed := true;
-                     if test work then
-                       result :=
-                         Some
-                           (Guilty_pass
-                              { pass = p.Pass.pass_name; application = !app })
-                   end
+                   (* The optimizer validates once per pipeline; here every
+                      application is checked, so a pass that breaks the IR
+                      is blamed by name. *)
+                   let broken =
+                     match Circuit.validate work with
+                     | () -> false
+                     | exception (Failure _ | Circuit.Combinational_cycle _) -> true
+                   in
+                   if o.Pass.rewrites > 0 then changed := true;
+                   if broken || (o.Pass.rewrites > 0 && test work) then
+                     result :=
+                       Some (Guilty_pass { pass = p.Pass.pass_name; application = !app })
                  end)
                stage.Pipeline.stage_passes;
-             Circuit.validate work;
              incr rounds;
              if (not !changed) || !result <> None then stage_done := true
            done)

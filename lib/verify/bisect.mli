@@ -8,10 +8,10 @@
       otherwise [Guilty_engine];
     - otherwise replay the failing level's exact stage plan
       ({!Gsim_passes.Pipeline.plan}, same fixpoint bounds) one pass
-      application at a time on a private copy, re-running the O0 subject
-      after every application that rewrote something.  The first
-      application after which the failure class appears names the
-      [Guilty_pass]. *)
+      application at a time on a private copy, validating the IR after
+      every application and re-running the O0 subject after every one
+      that rewrote something.  The first application after which the IR
+      is invalid or the failure class appears names the [Guilty_pass]. *)
 
 open Gsim_ir
 

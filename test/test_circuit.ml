@@ -1,10 +1,15 @@
-(* Circuit graph and the reference interpreter. *)
+(* Circuit graph, its structural digest, and the reference interpreter. *)
 
 module Bits = Gsim_bits.Bits
 module Expr = Gsim_ir.Expr
 module Circuit = Gsim_ir.Circuit
+module Ir_text = Gsim_ir.Ir_text
 module Reference = Gsim_ir.Reference
 module Rand_circuit = Gsim_ir.Rand_circuit
+module Pass = Gsim_passes.Pass
+module Pipeline = Gsim_passes.Pipeline
+module Designs = Gsim_designs.Designs
+module Stu_core = Gsim_designs.Stu_core
 
 let b ~w n = Bits.of_int ~width:w n
 
@@ -184,6 +189,132 @@ let test_random_circuits_valid () =
     Circuit.validate c
   done
 
+(* --- Circuit.digest ------------------------------------------------------ *)
+
+let hex c = Digest.to_hex (Circuit.digest c)
+
+let test_digest_equal_builds () =
+  let build () = (Designs.boom_like.Designs.build ()).Stu_core.circuit in
+  let a = build () and b = build () in
+  Alcotest.(check string) "two builds" (hex a) (hex b);
+  Alcotest.(check string) "copy" (hex a) (hex (Circuit.copy a))
+
+(* Distinct texts must never share a digest.  [seen] maps each digest to
+   the text that first produced it. *)
+let check_injective seen c =
+  let text = Ir_text.to_string c and d = Circuit.digest c in
+  match Hashtbl.find_opt seen d with
+  | Some t when t <> text ->
+    Alcotest.failf "different texts share digest %s" (Digest.to_hex d)
+  | Some _ -> ()
+  | None -> Hashtbl.replace seen d text
+
+let test_digest_random () =
+  let seen = Hashtbl.create 256 in
+  let st = Random.State.make [| 20 |] in
+  for i = 0 to 199 do
+    let cfg =
+      {
+        Rand_circuit.default_config with
+        Rand_circuit.logic_nodes = 5 + (i mod 40);
+        max_width = 1 + (i * 13 mod 100);
+        with_memory = i mod 3 <> 0;
+        with_reset = i mod 2 = 0;
+      }
+    in
+    check_injective seen (Rand_circuit.generate st cfg)
+  done;
+  Alcotest.(check bool) "circuits differ" true (Hashtbl.length seen > 190)
+
+(* Every rewriting pass application of Rocket's O3 pipeline, replayed one
+   application at a time as the fuzzer's bisection does. *)
+let test_digest_o3_replay () =
+  let c = Circuit.copy (Designs.rocket_like.Designs.build ()).Stu_core.circuit in
+  let seen = Hashtbl.create 64 in
+  check_injective seen c;
+  List.iter
+    (fun (st : Pipeline.stage) ->
+      let rec round r =
+        if r < st.Pipeline.stage_max_rounds then begin
+          let changed =
+            List.fold_left
+              (fun changed p ->
+                if (Pass.apply p c).Pass.rewrites > 0 then begin
+                  check_injective seen c;
+                  true
+                end
+                else changed)
+              false st.Pipeline.stage_passes
+          in
+          if changed then round (r + 1)
+        end
+      in
+      round 0)
+    (Pipeline.plan Pipeline.O3);
+  Alcotest.(check bool) "several rewritten circuits" true (Hashtbl.length seen > 5)
+
+(* One circuit with every fact the text prints, each settable. *)
+type knobs = {
+  k_name : string;
+  k_width : int;
+  k_output : bool;
+  k_init : int;
+  k_reset : int;
+  k_slow : bool;
+  k_depth : int;
+  k_ren_e1 : bool;
+  k_wen_e1 : bool;
+}
+
+let base_knobs =
+  {
+    k_name = "a"; k_width = 6; k_output = true; k_init = 0; k_reset = 0; k_slow = false;
+    k_depth = 4; k_ren_e1 = true; k_wen_e1 = true;
+  }
+
+let knob_circuit k =
+  let c = Circuit.create ~name:"knobs" () in
+  let a = Circuit.add_input c ~name:k.k_name ~width:k.k_width in
+  let e1 = Circuit.add_input c ~name:"e1" ~width:1 in
+  let e2 = Circuit.add_input c ~name:"e2" ~width:1 in
+  let rst = Circuit.add_input c ~name:"rst" ~width:1 in
+  let addr = Circuit.add_input c ~name:"addr" ~width:2 in
+  let any =
+    Circuit.add_logic c ~name:"any"
+      (Expr.unop Expr.Reduce_or (Expr.var ~width:k.k_width a.Circuit.id))
+  in
+  let r =
+    Circuit.add_register c ~name:"r" ~width:8 ~init:(b ~w:8 k.k_init)
+      ~reset:(rst.Circuit.id, b ~w:8 k.k_reset) ()
+  in
+  Circuit.set_next c r (Expr.var ~width:8 r.Circuit.read);
+  (Option.get r.Circuit.reset).Circuit.slow_path <- k.k_slow;
+  let en flag = if flag then e1.Circuit.id else e2.Circuit.id in
+  let mem = Circuit.add_memory c ~name:"m" ~width:8 ~depth:k.k_depth in
+  ignore
+    (Circuit.add_read_port c ~mem ~name:"rd" ~addr:addr.Circuit.id ~en:(en k.k_ren_e1) ());
+  Circuit.add_write_port c ~mem ~addr:addr.Circuit.id ~data:r.Circuit.read ~en:(en k.k_wen_e1);
+  if k.k_output then Circuit.mark_output c any.Circuit.id;
+  c
+
+let test_digest_field_edits () =
+  let base = hex (knob_circuit base_knobs) in
+  Alcotest.(check string) "rebuilt" base (hex (knob_circuit base_knobs));
+  List.iter
+    (fun (field, k) ->
+      if hex (knob_circuit k) = base then Alcotest.failf "editing %s keeps the digest" field)
+    [
+      ("name", { base_knobs with k_name = "a2" });
+      ("width", { base_knobs with k_width = 7 });
+      ("output mark", { base_knobs with k_output = false });
+      ("register init", { base_knobs with k_init = 1 });
+      ("reset value", { base_knobs with k_reset = 1 });
+      ("slow-path flag", { base_knobs with k_slow = true });
+      ("memory depth", { base_knobs with k_depth = 5 });
+      ("read-port enable", { base_knobs with k_ren_e1 = false });
+      ("write-port enable", { base_knobs with k_wen_e1 = false });
+    ]
+
 let () =
   Alcotest.run "circuit"
     [
@@ -202,5 +333,14 @@ let () =
           Alcotest.test_case "compact preserves semantics" `Quick
             test_compact_preserves_semantics;
           Alcotest.test_case "random circuits validate" `Quick test_random_circuits_valid;
+        ] );
+      ( "digest",
+        [
+          Alcotest.test_case "separate builds and copies agree" `Quick test_digest_equal_builds;
+          Alcotest.test_case "random circuits: text differs, digest differs" `Quick
+            test_digest_random;
+          Alcotest.test_case "O3 replay of Rocket: text differs, digest differs" `Quick
+            test_digest_o3_replay;
+          Alcotest.test_case "one-field edits change the digest" `Quick test_digest_field_edits;
         ] );
     ]

@@ -571,8 +571,8 @@ let test_coverage_identical () =
 
 (* --- .so cache: miss, hit, invalidation on hash change ----------------- *)
 
-(* A parametric circuit whose IR text (and therefore digest) varies with
-   [tag], so each test run's first build is a genuine compile. *)
+(* A parametric circuit whose digest varies with [tag], so each test
+   run's first build is a genuine compile. *)
 let cache_circuit tag =
   let c = Circuit.create ~name:(Printf.sprintf "cache%d" tag) () in
   let x = Circuit.add_input c ~name:"x" ~width:16 in
@@ -610,6 +610,62 @@ let test_cache_hit_and_invalidation () =
   let ct3 = Full_cycle.counters t3 in
   Alcotest.(check string) "changed hash misses" "miss" ct3.Counters.native_cache;
   Alcotest.(check int) "recompiled" (compiles0 + 2) Native.stats.Native.compiles
+
+(* A memo hit must not wait for another circuit's compile, and two
+   concurrent loads of one new circuit must share one compile.  [GSIM_CC]
+   points at a wrapper that sleeps 2 s before running the real compiler. *)
+let test_memo_hit_during_compile () =
+  skip_without_cc ();
+  let cc = Option.get (Native.find_compiler ()) in
+  let warm = cache_circuit 5001 in
+  ignore (Native.load warm);
+  let wrapper =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "gsim-slow-cc-%d.sh" (Unix.getpid ()))
+  in
+  let oc = open_out wrapper in
+  Printf.fprintf oc "#!/bin/sh\nsleep 2\nexec %s \"$@\"\n" (Filename.quote cc);
+  close_out oc;
+  Unix.chmod wrapper 0o755;
+  let prev = Sys.getenv_opt "GSIM_CC" in
+  Unix.putenv "GSIM_CC" wrapper;
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.putenv "GSIM_CC" (Option.value prev ~default:cc);
+      Sys.remove wrapper)
+    (fun () ->
+      let compiles0 = Native.stats.Native.compiles in
+      let slow = cache_circuit 5002 in
+      let load_slow () = Domain.spawn (fun () -> Native.load slow) in
+      let d1 = load_slow () in
+      Unix.sleepf 0.3;
+      let d2 = load_slow () in
+      Unix.sleepf 0.2;
+      let t0 = Unix.gettimeofday () in
+      let hit = Native.load warm in
+      let waited = Unix.gettimeofday () -. t0 in
+      (match hit with
+       | Some (_, Native.Memo_hit) -> ()
+       | _ -> Alcotest.fail "expected a memo hit on the warm circuit");
+      Alcotest.(check bool)
+        (Printf.sprintf "memo hit returned in %.3f s, during the other compile" waited)
+        true (waited < 1.0);
+      let origins =
+        List.map
+          (fun d ->
+            match Domain.join d with
+            | Some (u, origin) -> (u.Native.so_path, origin)
+            | None -> Alcotest.fail "slow compile failed")
+          [ d1; d2 ]
+      in
+      Alcotest.(check int) "one compile for both loads" (compiles0 + 1)
+        Native.stats.Native.compiles;
+      (match origins with
+       | [ (p1, o1); (p2, o2) ] ->
+         Alcotest.(check string) "one object" p1 p2;
+         Alcotest.(check bool) "one compiled, one memo hit" true
+           (List.sort compare [ o1; o2 ] = [ Native.Memo_hit; Native.Compiled ])
+       | _ -> assert false))
 
 (* --- missing-compiler fallback ladder ---------------------------------- *)
 
@@ -794,7 +850,9 @@ let () =
           Alcotest.test_case "native activity step allocates nothing" `Quick test_step_no_alloc;
         ] );
       ( "cache",
-        [ Alcotest.test_case "miss, hit, invalidation" `Quick test_cache_hit_and_invalidation ] );
+        [ Alcotest.test_case "miss, hit, invalidation" `Quick test_cache_hit_and_invalidation;
+          Alcotest.test_case "memo hit during another compile" `Quick
+            test_memo_hit_during_compile ] );
       ( "fallback",
         [ Alcotest.test_case "no compiler degrades gracefully" `Quick test_fallback_no_compiler ] );
       ( "auto",
