@@ -427,11 +427,30 @@ let coverage () =
 (* Fault-injection campaign throughput                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Faults/sec per engine x backend on a real core, with the same fault
-   list everywhere.  The run FAILS unless every configuration classifies
-   every fault identically — the campaign's portability guarantee. *)
+(* Faults/sec per preset x backend on a real core, with the same fault
+   list everywhere, over several rounds (median, min and max).  The run
+   FAILS unless every configuration, the reference interpreter included,
+   classifies every fault identically in every round — the campaign's
+   portability guarantee.  Results also land in BENCH_fault.json. *)
+let host_description () =
+  let model =
+    match In_channel.with_open_text "/proc/cpuinfo" In_channel.input_all with
+    | text ->
+      String.split_on_char '\n' text
+      |> List.find_map (fun l ->
+             match String.index_opt l ':' with
+             | Some i when String.trim (String.sub l 0 i) = "model name" ->
+               Some (String.trim (String.sub l (i + 1) (String.length l - i - 1)))
+             | _ -> None)
+    | exception Sys_error _ -> None
+  in
+  Printf.sprintf "%s, %d core(s), OCaml %s"
+    (Option.value model ~default:"unknown CPU")
+    (Domain.recommended_domain_count ())
+    Sys.ocaml_version
+
 let fault () =
-  header "Fault - campaign throughput (faults/sec) per engine x backend";
+  header "Fault - campaign throughput (faults/sec) per preset x backend";
   let module Fault = Gsim_fault.Fault in
   let module Fdb = Gsim_fault.Db in
   let module Campaign = Gsim_fault.Campaign in
@@ -439,42 +458,67 @@ let fault () =
   let circuit = core.Stu_core.circuit in
   let horizon = if !Harness.quick then 40 else 120 in
   let count = if !Harness.quick then 12 else 60 in
+  let rounds = if !Harness.quick then 3 else 5 in
   let cfg = { Campaign.horizon; budget = (if !Harness.quick then 15 else 40) } in
   let faults = Fault.random ~seed:7 ~count ~horizon circuit in
   let configs =
-    List.concat_map
-      (fun (name, mk) ->
-        List.map
-          (fun be ->
-            (name, Gsim_engine.Eval.to_string be, (mk be : Gsim.config)))
-          ([ `Closures ] @ if Gsim_engine.Native.available () then [ `Native ] else []))
-      [
-        ("full-cycle", fun be -> { (Gsim.verilator ()) with Gsim.backend = be });
-        ("essent", fun be -> { Gsim.essent with Gsim.backend = be });
-        ("gsim", fun be -> { Gsim.gsim with Gsim.backend = be });
-      ]
+    ("reference", "-", Gsim.reference)
+    :: List.concat_map
+         (fun (name, mk) ->
+           List.map
+             (fun be -> (name, Gsim_engine.Eval.to_string be, (mk be : Gsim.config)))
+             ([ `Closures ] @ if Gsim_engine.Native.available () then [ `Native ] else []))
+         [
+           ("full-cycle", fun be -> { (Gsim.verilator ()) with Gsim.backend = be });
+           ("essent", fun be -> { Gsim.essent with Gsim.backend = be });
+           ("gsim", fun be -> { Gsim.gsim with Gsim.backend = be });
+         ]
   in
-  Printf.printf "%-12s %-10s %8s %10s   %s\n" "engine" "backend" "secs" "faults/s"
-    "det/lat/mask/hang/unin";
-  let baseline = ref None in
+  Printf.printf "%-12s %-10s %10s %10s %10s   %s\n" "engine" "backend" "median/s" "min/s"
+    "max/s" "det/lat/mask/hang/unin";
+  let baseline = ref None and rows = ref [] in
   List.iter
     (fun (ename, bname, config) ->
-      let t0 = now () in
-      let db = Campaign.run cfg config circuit faults in
-      let dt = now () -. t0 in
-      let s = Fdb.summary db in
-      Printf.printf "%-12s %-10s %8.2f %10.1f   %d/%d/%d/%d/%d\n%!" ename bname dt
-        (float_of_int s.Fdb.total /. dt)
-        s.Fdb.detected s.Fdb.latent s.Fdb.masked s.Fdb.hangs s.Fdb.uninjectable;
-      match !baseline with
-      | None -> baseline := Some db
-      | Some b ->
-        if not (Fdb.equal b db) then
-          failwith
-            (Printf.sprintf "fault classification differs between configurations (%s/%s)"
-               ename bname))
+      (* One untimed warm-up round pays the native compile, if any. *)
+      let rates =
+        List.init (rounds + 1) (fun _ ->
+            let t0 = now () in
+            let db = Campaign.run cfg config circuit faults in
+            let dt = now () -. t0 in
+            (match !baseline with
+             | None -> baseline := Some db
+             | Some b ->
+               if not (Fdb.equal b db) then
+                 failwith
+                   (Printf.sprintf
+                      "fault classification differs between configurations (%s/%s)" ename
+                      bname));
+            float_of_int (Fdb.count db) /. dt)
+        |> List.tl |> List.sort compare
+      in
+      let median = List.nth rates (rounds / 2) in
+      let lo = List.hd rates and hi = List.nth rates (rounds - 1) in
+      let s = Fdb.summary (Option.get !baseline) in
+      Printf.printf "%-12s %-10s %10.1f %10.1f %10.1f   %d/%d/%d/%d/%d\n%!" ename bname median
+        lo hi s.Fdb.detected s.Fdb.latent s.Fdb.masked s.Fdb.hangs s.Fdb.uninjectable;
+      rows :=
+        Printf.sprintf
+          "    {\"engine\":%S,\"backend\":%S,\"faults_per_s\":%.1f,\"faults_per_s_min\":%.1f,\"faults_per_s_max\":%.1f}"
+          ename bname median lo hi
+        :: !rows)
     configs;
-  Printf.printf "  -> all %d configurations agree on every fault\n%!" (List.length configs)
+  let db = Option.get !baseline in
+  let s = Fdb.summary db in
+  let oc = open_out "BENCH_fault.json" in
+  Printf.fprintf oc
+    "{\n  \"bench\": \"fault\",\n  \"host\": %S,\n  \"design\": %S,\n  \"rounds\": %d,\n  \"horizon\": %d,\n  \"budget\": %d,\n  \"count\": %d,\n  \"classes\": \"%d/%d/%d/%d/%d\",\n  \"class_checksum\": %S,\n  \"rows\": [\n%s\n  ]\n}\n"
+    (host_description ()) (Circuit.name circuit) rounds horizon cfg.Campaign.budget
+    (Fdb.count db) s.Fdb.detected s.Fdb.latent s.Fdb.masked s.Fdb.hangs s.Fdb.uninjectable
+    (Digest.to_hex (Digest.string (Fdb.to_string db)))
+    (String.concat ",\n" (List.rev !rows));
+  close_out oc;
+  Printf.printf "  -> all %d configurations agree on every fault in every round\n" (List.length configs);
+  Printf.printf "  [wrote BENCH_fault.json]\n%!"
 
 (* ------------------------------------------------------------------ *)
 (* Differential fuzzing throughput                                     *)

@@ -510,7 +510,7 @@ let apply_delta base d =
    base link is NOT checked — the caller vouches for it (the shadow
    fast path moves its live fallback from one verified anchor to the
    next window start this way, skipping a full-state restore). *)
-let restore_delta rt (sim : Sim.t) d =
+let restore_delta (sim : Sim.t) d =
   let fail fmt = Printf.ksprintf failwith fmt in
   let c = sim.Sim.circuit in
   List.iter
@@ -536,7 +536,7 @@ let restore_delta rt (sim : Sim.t) d =
       let mi = ref (-1) in
       Array.iteri (fun i (m : Circuit.memory) -> if m.Circuit.mem_name = name then mi := i) mems;
       if !mi < 0 then fail "Checkpoint.restore_delta: no memory %S" name;
-      Array.iter (fun (a, v) -> Runtime.write_mem_word rt !mi a v) ws)
+      Array.iter (fun (a, v) -> sim.Sim.write_mem !mi a v) ws)
     d.d_mem_words;
   sim.Sim.invalidate ()
 

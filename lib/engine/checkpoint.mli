@@ -108,7 +108,7 @@ val apply_delta : t -> delta -> t
     the delta's recorded base cycle does not match, or it names state the
     base lacks. *)
 
-val restore_delta : Runtime.t -> Sim.t -> delta -> unit
+val restore_delta : Sim.t -> delta -> unit
 (** Sparse in-place restore: bring a sim {e already sitting at the
     delta's base state} to the delta's state by writing only the changed
     scalars and memory words.  The base link is not checked — the caller

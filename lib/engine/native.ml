@@ -103,6 +103,8 @@ let rec mkdir_p dir =
 let key_of_digest d =
   Digest.to_hex (Digest.string (Printf.sprintf "gsim-native-abi%d\n%s" Emit_c.abi_version d))
 
+let object_path c = Filename.concat (cache_dir ()) (key_of_digest (Circuit.digest c) ^ ".so")
+
 (* ------------------------------------------------------------------ *)
 (* Statistics                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -300,22 +302,7 @@ let load_uncached c key =
       prerr_endline ("gsim: native backend: " ^ msg);
       None
     in
-    if Sys.file_exists so_path then begin
-      (* Skip emission entirely: only the per-node gate is needed to
-         report how many nodes the cached object covers. *)
-      let compiled_nodes =
-        Circuit.fold_nodes c ~init:0 ~f:(fun acc nd ->
-            if Emit_c.compilable c nd then acc + 1 else acc)
-      in
-      match bind_so ~digest:key ~so_path ~c_path ~compiled_nodes with
-      | u ->
-        count (fun s -> s.disk_hits <- s.disk_hits + 1);
-        (* Refresh recency so the quota pruner evicts cold digests first. *)
-        (try Unix.utimes so_path 0. 0. with Unix.Unix_error _ -> ());
-        Some (u, Disk_hit)
-      | exception Failure msg -> failed ("stale cache object: " ^ msg)
-    end
-    else begin
+    let build () =
       let r = Emit_c.emit c in
       try
         write_file c_path r.Emit_c.source;
@@ -329,7 +316,28 @@ let load_uncached c key =
           prune_cache ~keep:key dir;
           Some (u, Compiled)
       with Failure msg | Sys_error msg -> failed msg
+    in
+    if Sys.file_exists so_path then begin
+      (* Skip emission entirely: only the per-node gate is needed to
+         report how many nodes the cached object covers. *)
+      let compiled_nodes =
+        Circuit.fold_nodes c ~init:0 ~f:(fun acc nd ->
+            if Emit_c.compilable c nd then acc + 1 else acc)
+      in
+      match bind_so ~digest:key ~so_path ~c_path ~compiled_nodes with
+      | u ->
+        count (fun s -> s.disk_hits <- s.disk_hits + 1);
+        (* Refresh recency so the quota pruner evicts cold digests first. *)
+        (try Unix.utimes so_path 0. 0. with Unix.Unix_error _ -> ());
+        Some (u, Disk_hit)
+      | exception Failure msg ->
+        (* A stale object (truncated by a crash, or otherwise unloadable)
+           is replaced, not trusted: rebuild it once, here. *)
+        prerr_endline ("gsim: native backend: rebuilding stale cache object: " ^ msg);
+        (try Sys.remove so_path with Sys_error _ -> ());
+        build ()
     end
+    else build ()
 
 (* [memo_lock] is held only for the table: emit, [cc] and [dlopen] run
    outside it, so a memo hit never waits for another circuit's compile. *)

@@ -60,13 +60,18 @@ val find_compiler : unit -> string option
 
 val cache_dir : unit -> string
 
+val object_path : Circuit.t -> string
+(** Where the circuit's compiled object lives in {!cache_dir}. *)
+
 val load : ?digest:Digest.t -> Circuit.t -> (unit_t * origin) option
 (** Emit, compile (or reuse a cached object), and bind the circuit's
     native unit.  [digest] is {!Circuit.digest} of the circuit when the
     caller already holds it; without it [load] walks the circuit once.  [None] when the backend is disabled, no compiler is
     found, or compilation/binding fails — callers degrade to an
     interpreted backend.  Failures print a one-line diagnostic and are
-    memoized per circuit, so a broken toolchain is probed once. *)
+    memoized per circuit, so a broken toolchain is probed once.  A
+    cached object that no longer loads (a truncated [.so]) is deleted
+    and rebuilt once within the same call. *)
 
 val has_fn : unit_t -> int -> bool
 (** The unit contains a generated function for this node id. *)

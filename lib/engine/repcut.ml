@@ -286,6 +286,8 @@ let sim t =
     step = (fun () -> step t);
     load_mem = load_mem t;
     read_mem = (fun mi addr -> Runtime.read_mem t.rt mi addr);
+    write_mem = Runtime.write_mem_word t.rt;
+    take_dirty_mem = (fun () -> Runtime.drain_mem t.rt);
     write_reg = (fun id v -> Runtime.poke_register t.rt id v);
     force =
       (fun ?mask id v ->

@@ -169,6 +169,13 @@ let take_dirty_mem t =
   done;
   !out
 
+let drain_mem t =
+  if t.track_mem then take_dirty_mem t
+  else begin
+    set_mem_tracking t true;
+    []
+  end
+
 let snapshot_mem t mi =
   if t.mem_is_wide.(mi) then Array.map Bits.copy t.mem_wide.(mi)
   else

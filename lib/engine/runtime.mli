@@ -60,6 +60,10 @@ val take_dirty_mem : t -> (int * int array) list
     memory with recorded stores since the last drain, and clear it.
     Indices are sorted ascending and duplicate-free. *)
 
+val drain_mem : t -> (int * int array) list
+(** {!Sim.t}'s drain: {!take_dirty_mem} when the barrier is on;
+    otherwise switch it on and return [[]]. *)
+
 val snapshot_mem : t -> int -> Bits.t array
 (** Bulk copy of a memory's current contents (checkpoint capture fast
     path — no per-word circuit lookups). *)

@@ -10,6 +10,8 @@ type t = {
   step : unit -> unit;
   load_mem : int -> Bits.t array -> unit;
   read_mem : int -> int -> Bits.t;
+  write_mem : int -> int -> Bits.t -> unit;
+  take_dirty_mem : unit -> (int * int array) list;
   write_reg : int -> Bits.t -> unit;
   force : ?mask:Bits.t -> int -> Bits.t -> unit;
   release : int -> unit;
@@ -42,6 +44,8 @@ let of_reference r =
         counters.Counters.cycles <- counters.Counters.cycles + 1);
     load_mem = Reference.load_mem r;
     read_mem = Reference.read_mem r;
+    write_mem = Reference.write_mem_word r;
+    take_dirty_mem = (fun () -> Reference.take_dirty_mem r);
     write_reg = Reference.force_register r;
     force = (fun ?mask id v -> ignore (Reference.force r ?mask id v));
     release = (fun id -> ignore (Reference.release r id));

@@ -18,6 +18,16 @@ type t = {
   step : unit -> unit;
   load_mem : int -> Bits.t array -> unit;
   read_mem : int -> int -> Bits.t;
+  write_mem : int -> int -> Bits.t -> unit;
+      (** [write_mem mem addr v] overwrites one memory word (a sparse
+          fork); follow with {!field-invalidate} on activity engines. *)
+  take_dirty_mem : unit -> (int * int array) list;
+      (** Drain the memory write barrier: [(memory index, sorted word
+          indices)] for every word stored since the previous drain, by
+          {!field-step}, {!field-load_mem} or {!field-write_mem}.  The
+          first call switches the barrier on and returns [[]]; while it
+          is on, the memories equal their contents at that call plus the
+          words drained since. *)
   write_reg : int -> Bits.t -> unit;
       (** Force a register's current value (by read-node id) — checkpoint
           restore; follow with {!field-invalidate} on activity engines. *)

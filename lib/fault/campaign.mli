@@ -1,26 +1,36 @@
 (** Fault-injection campaign runner.
 
     A campaign runs one {e golden} (fault-free) simulation of the design
-    over [horizon] cycles, recording the per-cycle values of the design's
-    outputs and checkpointing the architectural state at every cycle a
-    fault will need.  Each fault is then {e forked} from the golden
-    checkpoint at its injection cycle into a single reused faulty
-    simulator, injected (registers: latch the flipped value; wires and
-    inputs: force/release through the engine's override layer), and run
-    in lockstep against the golden trace for at most [budget] cycles —
-    the per-fault watchdog that bounds every fault's cost.
+    over [horizon] cycles and keeps a golden model of it: the per-cycle
+    values of the design's outputs, the inputs and registers at every
+    cycle a fault forks at or compares at, the memory image at cycle 0,
+    and a log of the memory words the run stored.  Each fault is then
+    {e forked} into the same engine instance, injected (registers: latch
+    the flipped value; wires and inputs: force/release through the
+    engine's override layer), and run in lockstep against the golden
+    trace for at most [budget] cycles — the per-fault watchdog that
+    bounds every fault's cost.
+
+    The engine runs with its memory write barrier on
+    ({!Gsim_engine.Sim.t} [take_dirty_mem]), so its memories always equal
+    the golden memories of the last fork's cycle plus the words the
+    barrier saw stored.  A fork writes back only those words and the ones
+    golden stored between the two cycles; the latent/masked compare reads
+    only the words stored since the fork and those golden stored in the
+    window.  Forks and compares cost O(inputs + registers + words
+    written), not O(memory depth), on every preset alike.
 
     Classification ({!Db.classification}):
     - outputs diverge at cycle [c] → [Detected c];
     - no divergence by the window end, architectural state differs from
-      the golden checkpoint there → [Latent];
+      the golden state there → [Latent];
     - state also matches → [Masked];
     - the faulty run raises → [Hang] (the campaign never crashes);
     - unresolvable target / out-of-range bit / bad cycle →
       [Uninjectable].
 
-    Golden and faulty simulators are built by {!Gsim_core.Gsim.instantiate}
-    with the same [forcible] set (every resolvable target), so the
+    The engine is built by {!Gsim_core.Gsim.instantiate} with every
+    resolvable target [forcible] and every register kept, so the
     classification of each fault is identical across engine presets and
     evaluation backends. *)
 
@@ -58,10 +68,12 @@ val run :
     [stimulus cycle] — pokes (original-circuit node id, value) applied
     before each cycle's step, identically in the golden and every faulty
     run;
-    [golden_dir] — persist the golden pass's products (output trace, SEU
-    samples, fork/compare checkpoints) through the crash-safe store of
-    {!Gsim_resilience.Store}, and reuse them when a valid covering cache
-    is already there — an interrupted campaign resumed with [skip]
-    restarts from recorded engine state instead of re-simulating the
-    golden run.  The cache is invalidated automatically if the design,
-    engine configuration, or horizon changes. *)
+    [golden_dir] — persist the golden model ([golden 2]: one cycle-0
+    keyframe in the crash-safe store of {!Gsim_resilience.Store}, plus
+    the output trace, SEU samples, fork/compare state and memory write
+    log in [golden.gtr]), and reuse it when a valid covering model is
+    already there — an interrupted campaign resumed with [skip] restarts
+    from the recorded model instead of re-simulating the golden run.
+    The model is recomputed if the design, engine configuration, horizon
+    or format changes, or if its keyframe differs from the engine's
+    cycle-0 state. *)

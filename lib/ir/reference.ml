@@ -11,6 +11,10 @@ type t = {
      re-applies the override. *)
   forced_flag : bool array;
   forced : (int, Bits.t * Bits.t) Hashtbl.t;  (* id -> mask, pre-masked value *)
+  (* Memory write barrier: while [track_mem], every store records its
+     word in the memory's dirty set. *)
+  mutable track_mem : bool;
+  dirty : (int, unit) Hashtbl.t array;
 }
 
 let circuit t = t.c
@@ -42,6 +46,8 @@ let create c =
     cycles = 0;
     forced_flag = Array.make (max (Circuit.max_id c) 1) false;
     forced = Hashtbl.create 8;
+    track_mem = false;
+    dirty = Array.map (fun _ -> Hashtbl.create 16) mems;
   }
 
 let override t id v =
@@ -86,6 +92,10 @@ let eval_node t id =
 
 let eval_comb t = Array.iter (eval_node t) t.order
 
+let store t mi addr v =
+  t.mems.(mi).(addr) <- v;
+  if t.track_mem then Hashtbl.replace t.dirty.(mi) addr ()
+
 let commit t =
   (* Memory writes read this cycle's node values; they become visible next
      cycle because reads already happened during [eval_comb]. *)
@@ -95,7 +105,7 @@ let commit t =
         (fun (w : Circuit.write_port) ->
           if not (Bits.is_zero t.values.(w.w_en)) then begin
             let addr = Bits.to_int_trunc t.values.(w.w_addr) in
-            if addr < m.depth then t.mems.(mi).(addr) <- t.values.(w.w_data)
+            if addr < m.depth then store t mi addr t.values.(w.w_data)
           end)
         m.write_ports)
     (Circuit.memories t.c);
@@ -126,8 +136,29 @@ let load_mem t mi contents =
   Array.iteri
     (fun i v ->
       if Bits.width v <> m.Circuit.mem_width then invalid_arg "Reference.load_mem: width";
-      t.mems.(mi).(i) <- v)
+      store t mi i v)
     contents
+
+let write_mem_word t mi addr v =
+  let m = Circuit.memory t.c mi in
+  if addr < 0 || addr >= m.Circuit.depth then invalid_arg "Reference.write_mem_word";
+  if Bits.width v <> m.Circuit.mem_width then invalid_arg "Reference.write_mem_word: width";
+  store t mi addr v
+
+let take_dirty_mem t =
+  (* Nothing is marked while the barrier is off: the first drain is [[]]. *)
+  t.track_mem <- true;
+  let out = ref [] in
+  for mi = Array.length t.dirty - 1 downto 0 do
+    let tbl = t.dirty.(mi) in
+    if Hashtbl.length tbl > 0 then begin
+      let words = Array.of_seq (Hashtbl.to_seq_keys tbl) in
+      Array.sort compare words;
+      Hashtbl.reset tbl;
+      out := (mi, words) :: !out
+    end
+  done;
+  !out
 
 let read_mem t mi addr =
   let m = Circuit.memory t.c mi in

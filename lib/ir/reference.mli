@@ -42,6 +42,15 @@ val load_mem : t -> int -> Bits.t array -> unit
 val read_mem : t -> int -> int -> Bits.t
 (** [read_mem t mem addr]. *)
 
+val write_mem_word : t -> int -> int -> Bits.t -> unit
+(** [write_mem_word t mem addr v] overwrites one memory word. *)
+
+val take_dirty_mem : t -> (int * int array) list
+(** Drain the memory write barrier: [(memory index, sorted word
+    indices)] for every word stored (by {!step}, {!load_mem} or
+    {!write_mem_word}) since the previous drain.  The first call
+    switches the barrier on and returns [[]]. *)
+
 val force_register : t -> int -> Bits.t -> unit
 (** Overwrite a register's current value (by read-node id); checkpoint
     restore. *)

@@ -502,7 +502,7 @@ let run ?(stimulus = fun _ -> []) ?halt t target =
            a full-state restore. *)
         (if !win_start <> None || not t.shadow_synced then
            match (!win_delta, t.shadow_synced) with
-           | Some d, true -> Checkpoint.restore_delta frt fbs d
+           | Some d, true -> Checkpoint.restore_delta fbs d
            | _ -> Checkpoint.restore fbs start);
         (* Force-clear the shadow's tracker: only the replay's own writes
            belong in the compare set (restore marks every word). *)

@@ -1,8 +1,9 @@
 (* Fault-injection campaigns: key syntax, database round-trips and merge,
    end-to-end classification on a crafted circuit (identical across every
-   engine preset and both evaluation backends), crash-safe resume, the
-   per-fault budget, write_reg/checkpoint-restore consumer wake, and the
-   combinational-loop diagnostic. *)
+   engine preset and both evaluation backends), memory faults against a
+   full-state oracle (sparse forks and compares, a fork after a hang),
+   crash-safe resume, the per-fault budget, write_reg/checkpoint-restore
+   consumer wake, and the combinational-loop diagnostic. *)
 
 module Bits = Gsim_bits.Bits
 module Expr = Gsim_ir.Expr
@@ -199,6 +200,201 @@ let test_cross_engine_identity () =
           preset.Gsim.config_name (Fdb.to_string reference) (Fdb.to_string db))
     presets
 
+(* --- memory state: sparse forks and compares ------------------------------ *)
+
+(* din(4) -> reg d; memory m[4] x 4 bits, written with d at waddr when
+   we, read at raddr into the only output o.  The per-cycle stimulus
+   below sets up one case per fault of [mem_faults]:
+   - d#seu:0@2: the flipped d is stored to m[3], which nothing reads
+     before the window ends — latent only through a memory word;
+   - we#stuck1:0+1@8: one spurious store to m[1], a word golden never
+     writes — latent through a word only the faulty run stored;
+   - we#stuck1:0+2@8: two spurious stores to m[1], the second putting
+     back its golden value — masked;
+   - d#seu:1@10, then d#seu:1@5 (key order runs them in descending cycle
+     order): golden stores m[2] at cycle 7 and the earlier fault reads
+     m[2] at cycle 6, so the backward fork must revert that word;
+   - we#stuck1:0+2@12 stores to m[3] and, in [test_memory_hang], its
+     run raises at cycle 14; the masked fault after it reads m[3] at
+     cycle 10, so the fork must revert the hung run's stores. *)
+let mem_circuit () =
+  let c = Circuit.create ~name:"fmem" () in
+  let din = Circuit.add_input c ~name:"din" ~width:4 in
+  let we = Circuit.add_input c ~name:"we" ~width:1 in
+  let waddr = Circuit.add_input c ~name:"waddr" ~width:2 in
+  let raddr = Circuit.add_input c ~name:"raddr" ~width:2 in
+  let d = Circuit.add_register c ~name:"d" ~width:4 ~init:(Bits.zero 4) () in
+  Circuit.set_next c d (Expr.var ~width:4 din.Circuit.id);
+  let m = Circuit.add_memory c ~name:"m" ~width:4 ~depth:4 in
+  Circuit.add_write_port c ~mem:m ~addr:waddr.Circuit.id ~data:d.Circuit.read
+    ~en:we.Circuit.id;
+  let rd = Circuit.add_read_port c ~mem:m ~name:"rd" ~addr:raddr.Circuit.id () in
+  let o = Circuit.add_logic c ~name:"o" (Expr.var ~width:4 rd.Circuit.id) in
+  Circuit.mark_output c o.Circuit.id;
+  (c, [| din.Circuit.id; we.Circuit.id; waddr.Circuit.id; raddr.Circuit.id |])
+
+(* (din, we, waddr, raddr) per cycle. *)
+let mem_schedule =
+  [|
+    (3, 0, 0, 0); (6, 0, 0, 0); (7, 1, 3, 1); (2, 0, 0, 2);
+    (4, 0, 0, 1); (1, 1, 0, 2); (9, 0, 0, 2); (5, 1, 2, 1);
+    (0, 0, 1, 0); (8, 0, 1, 2); (11, 0, 0, 3); (12, 0, 0, 0);
+    (13, 0, 3, 2); (14, 0, 3, 0); (1, 1, 2, 3); (2, 0, 0, 3);
+  |]
+
+let mem_config = { Campaign.horizon = Array.length mem_schedule; budget = 4 }
+
+let mem_stimulus ids cycle =
+  let din, we, waddr, raddr = mem_schedule.(cycle) in
+  List.map2
+    (fun id (v, w) -> (id, Bits.of_int ~width:w v))
+    (Array.to_list ids)
+    [ (din, 4); (we, 1); (waddr, 2); (raddr, 2) ]
+
+let mem_faults =
+  [
+    "d#seu:0@2";
+    "we#stuck1:0+1@8";
+    "we#stuck1:0+2@8";
+    "d#seu:1@10";
+    "d#seu:1@5";
+    "we#stuck1:0+2@12";
+  ]
+
+let mem_expected =
+  [
+    ("d#seu:0@2", Fdb.Latent);
+    ("we#stuck1:0+1@8", Fdb.Latent);
+    ("we#stuck1:0+2@8", Fdb.Masked);
+    ("d#seu:1@5", Fdb.Detected 8);
+    ("we#stuck1:0+2@12", Fdb.Detected 14);
+  ]
+
+(* Classifies one fault from scratch on the reference interpreter, with
+   full-state captures: a fresh golden run to the window end, a fresh
+   faulty run from cycle 0, and Checkpoint.equal at the window end. *)
+let oracle c stimulus cfg (f : Fault.t) =
+  let n = Option.get (Circuit.find_node c f.Fault.target) in
+  let id = n.Circuit.id and width = n.Circuit.width in
+  let inject = f.Fault.cycle in
+  let endc = min cfg.Campaign.horizon (inject + max 1 cfg.Campaign.budget) in
+  let outputs = List.map (fun (o : Circuit.node) -> o.Circuit.id) (Circuit.outputs c) in
+  let fresh () = Sim.of_reference (Reference.create c) in
+  let step s cycle =
+    List.iter (fun (i, v) -> s.Sim.poke i v) (stimulus cycle);
+    s.Sim.step ()
+  in
+  let golden = fresh () in
+  let gout = Array.make endc [] and sample = ref (Bits.zero width) in
+  for cycle = 0 to endc - 1 do
+    step golden cycle;
+    gout.(cycle) <- List.map golden.Sim.peek outputs;
+    if cycle = inject then sample := golden.Sim.peek id
+  done;
+  let s = fresh () in
+  for cycle = 0 to inject - 1 do
+    step s cycle
+  done;
+  let onehot b = Bits.resize_unsigned (Bits.shift_left (Bits.one 1) b) ~width in
+  let release_at =
+    match f.Fault.model with
+    | Fault.Seu b when Circuit.register_of_node c id <> None ->
+      s.Sim.write_reg id (Bits.logxor (s.Sim.peek id) (onehot b));
+      max_int
+    | Fault.Seu b ->
+      s.Sim.force ~mask:(onehot b) id (Bits.logxor !sample (onehot b));
+      inject + 1
+    | Fault.Stuck (v, b, d) ->
+      s.Sim.force ~mask:(onehot b) id (if v then onehot b else Bits.zero width);
+      inject + d
+    | Fault.Word_force (v, d) ->
+      s.Sim.force id v;
+      inject + d
+  in
+  let rec go cycle =
+    if cycle >= endc then begin
+      s.Sim.release id;
+      let same = Checkpoint.equal (Checkpoint.capture s) (Checkpoint.capture golden) in
+      let classification = if same then Fdb.Masked else Fdb.Latent in
+      { Fdb.classification; cycles_run = endc - inject }
+    end
+    else begin
+      if cycle >= release_at then s.Sim.release id;
+      step s cycle;
+      if List.equal Bits.equal (List.map s.Sim.peek outputs) gout.(cycle) then
+        go (cycle + 1)
+      else { Fdb.classification = Fdb.Detected cycle; cycles_run = cycle - inject + 1 }
+    end
+  in
+  go inject
+
+let check_against_oracle ~what ?(expect = fun _ r -> r) db c stimulus cfg faults =
+  List.iter
+    (fun f ->
+      let key = Fault.key f in
+      let want = expect key (oracle c stimulus cfg f) in
+      match Fdb.find db key with
+      | Some got when got = want -> ()
+      | got ->
+        let show = function
+          | Some (r : Fdb.record) ->
+            Printf.sprintf "%s/%d" (Fdb.classification_to_string r.Fdb.classification)
+              r.Fdb.cycles_run
+          | None -> "missing"
+        in
+        Alcotest.failf "%s: %s: campaign says %s, oracle %s" what key (show got)
+          (show (Some want)))
+    faults
+
+let test_memory_campaign () =
+  let c, ids = mem_circuit () in
+  let stimulus = mem_stimulus ids in
+  let faults =
+    List.map Fault.of_key mem_faults
+    @ Fault.random ~seed:11 ~count:60 ~horizon:mem_config.Campaign.horizon c
+  in
+  let run preset = Campaign.run ~stimulus mem_config preset c faults in
+  let reference = run Gsim.reference in
+  List.iter
+    (fun (key, cls) ->
+      match Fdb.find reference key with
+      | Some r when r.Fdb.classification = cls -> ()
+      | _ -> Alcotest.failf "%s: expected %s" key (Fdb.classification_to_string cls))
+    mem_expected;
+  check_against_oracle ~what:"reference" reference c stimulus mem_config faults;
+  List.iter
+    (fun preset ->
+      let db = run preset in
+      if not (Fdb.equal reference db) then
+        Alcotest.failf "memory campaign on %s differs from reference:\n%s\nvs\n%s"
+          preset.Gsim.config_name (Fdb.to_string reference) (Fdb.to_string db))
+    presets
+
+(* The stimulus raises the second time it is asked for cycle 14, so the
+   golden pass runs clean and the first faulty run to reach cycle 14 —
+   we#stuck1:0+2@12 — hangs after storing to m[3]. *)
+let test_memory_hang () =
+  let c, ids = mem_circuit () in
+  let faults = List.map Fault.of_key mem_faults in
+  let hang_key = "we#stuck1:0+2@12" in
+  let expect key r =
+    if key = hang_key then { Fdb.classification = Fdb.Hang; cycles_run = 2 } else r
+  in
+  List.iter
+    (fun preset ->
+      let asked = ref 0 in
+      let stimulus cycle =
+        if cycle = 14 then begin
+          incr asked;
+          if !asked = 2 then failwith "stimulus fault"
+        end;
+        mem_stimulus ids cycle
+      in
+      let db = Campaign.run ~stimulus mem_config preset c faults in
+      check_against_oracle ~what:preset.Gsim.config_name ~expect db c (mem_stimulus ids)
+        mem_config faults)
+    presets
+
 (* --- resume and sharding ------------------------------------------------- *)
 
 let test_resume () =
@@ -358,6 +554,9 @@ let () =
           Alcotest.test_case "identical across engines" `Slow test_cross_engine_identity;
           Alcotest.test_case "resume + shards" `Quick test_resume;
           Alcotest.test_case "budget watchdog" `Quick test_budget;
+          Alcotest.test_case "memory faults match a full-state oracle" `Quick
+            test_memory_campaign;
+          Alcotest.test_case "fork after a hang" `Quick test_memory_hang;
         ] );
       ( "robustness",
         [

@@ -667,6 +667,36 @@ let test_memo_hit_during_compile () =
            (List.sort compare [ o1; o2 ] = [ Native.Memo_hit; Native.Compiled ])
        | _ -> assert false))
 
+(* A truncated object in the disk cache is deleted and rebuilt within the
+   same load, so neither this process nor a later one falls back to
+   closures for it. *)
+let test_stale_object_rebuilt () =
+  skip_without_cc ();
+  let prev = Sys.getenv_opt "GSIM_NATIVE_CACHE" in
+  let dir = Filename.temp_file "gsim-native-stale" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o755;
+  Unix.putenv "GSIM_NATIVE_CACHE" dir;
+  Fun.protect
+    ~finally:(fun () ->
+      Option.iter (Unix.putenv "GSIM_NATIVE_CACHE") prev;
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Unix.rmdir dir)
+    (fun () ->
+      let c = cache_circuit 7001 in
+      let so = Native.object_path c in
+      Out_channel.with_open_bin so (fun oc -> output_string oc "\x7fELF\002\001");
+      let compiles0 = Native.stats.Native.compiles in
+      (match Native.load c with
+       | Some (u, Native.Compiled) -> Alcotest.(check string) "same object path" so u.Native.so_path
+       | Some _ -> Alcotest.fail "the truncated object was trusted"
+       | None -> Alcotest.fail "the stale object was not rebuilt");
+      Alcotest.(check int) "one rebuild" (compiles0 + 1) Native.stats.Native.compiles;
+      Alcotest.(check bool) "rebuilt object replaces the truncated one" true
+        ((Unix.stat so).Unix.st_size > 6);
+      let t = Full_cycle.create ~backend:`Native (cache_circuit 7001) in
+      Alcotest.(check string) "runs native" "native" (Full_cycle.counters t).Counters.backend)
+
 (* --- missing-compiler fallback ladder ---------------------------------- *)
 
 let test_fallback_no_compiler () =
@@ -852,7 +882,8 @@ let () =
       ( "cache",
         [ Alcotest.test_case "miss, hit, invalidation" `Quick test_cache_hit_and_invalidation;
           Alcotest.test_case "memo hit during another compile" `Quick
-            test_memo_hit_during_compile ] );
+            test_memo_hit_during_compile;
+          Alcotest.test_case "stale object rebuilt" `Quick test_stale_object_rebuilt ] );
       ( "fallback",
         [ Alcotest.test_case "no compiler degrades gracefully" `Quick test_fallback_no_compiler ] );
       ( "auto",

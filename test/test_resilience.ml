@@ -584,12 +584,18 @@ let test_campaign_golden_reuse () =
   in
   let stimulus c = en_stimulus en c in
   let dir = temp_dir () in
+  let gtr = Filename.concat dir "golden.gtr" in
+  let read_gtr () = In_channel.with_open_bin gtr In_channel.input_all in
+  let store = Store.create ~ring:0 dir in
   let db1 = Campaign.run ~stimulus ~golden_dir:dir cfg Gsim.gsim circuit faults in
-  Alcotest.(check bool) "golden trace persisted" true
-    (Sys.file_exists (Filename.concat dir "golden.gtr"));
-  Alcotest.(check bool) "golden checkpoints persisted" true
-    (Store.checkpoints (Store.create ~ring:0 dir) <> []);
-  (* Second run: identical classifications out of the cache. *)
+  Alcotest.(check bool) "golden model persisted" true (Sys.file_exists gtr);
+  Alcotest.(check bool) "golden 2 format" true (String.starts_with ~prefix:"golden 2\n" (read_gtr ()));
+  Alcotest.(check (list int)) "one cycle-0 keyframe" [ 0 ]
+    (List.map fst (Store.checkpoints store));
+  (* Second run: identical classifications out of the cache, which it
+     reads without rewriting. *)
+  let inode () = (Unix.stat gtr).Unix.st_ino in
+  let ino = inode () in
   let db2 = Campaign.run ~stimulus ~golden_dir:dir cfg Gsim.gsim circuit faults in
   let dump db =
     let p = Filename.concat (temp_dir ()) "db.fdb" in
@@ -597,6 +603,25 @@ let test_campaign_golden_reuse () =
     In_channel.with_open_bin p In_channel.input_all
   in
   Alcotest.(check string) "cached campaign identical" (dump db1) (dump db2);
+  Alcotest.(check int) "warm run leaves the golden model alone" ino (inode ());
+  (* A [golden 1] directory — the older format: a keyframe per wanted
+     cycle and no state or write log in the trace — is recomputed. *)
+  let v1 =
+    String.split_on_char '\n' (read_gtr ())
+    |> List.filter (fun l ->
+           List.exists
+             (fun p -> String.starts_with ~prefix:p l)
+             [ "design "; "config "; "horizon "; "observed "; "out "; "sample " ])
+  in
+  Store.write_atomic gtr (String.concat "\n" ("golden 1" :: v1) ^ "\n");
+  let ck0 = Option.get (Store.find store 0) in
+  List.iter (fun c -> ignore (Store.save store (Checkpoint.with_cycle ck0 c))) [ 10; 12; 30 ];
+  let db1' = Campaign.run ~stimulus ~golden_dir:dir cfg Gsim.gsim circuit faults in
+  Alcotest.(check string) "golden 1 recomputed, same classes" (dump db1) (dump db1');
+  Alcotest.(check bool) "rewritten as golden 2" true
+    (String.starts_with ~prefix:"golden 2\n" (read_gtr ()));
+  Alcotest.(check (list int)) "golden 1 keyframes dropped" [ 0 ]
+    (List.map fst (Store.checkpoints store));
   (* A different horizon invalidates the cache (no stale reuse). *)
   let db3 =
     Campaign.run ~stimulus ~golden_dir:dir { cfg with Campaign.horizon = 50 } Gsim.gsim
