@@ -1,11 +1,24 @@
 (* gsim — command-line driver.
 
    Subcommands:
-     stats   show IR statistics of a FIRRTL design, before and after opts,
-             and what each optimization pass did and cost
-     emit    compile a FIRRTL design and emit C simulation code
-     sim     simulate a FIRRTL design with pokes from the command line
-     run     run a built-in workload on a built-in processor design     *)
+     stats        IR statistics before and after optimization, per-pass effect
+     emit         compile a design and emit a standalone C simulation unit
+     emit-firrtl  re-emit a design as flat FIRRTL (optionally optimized)
+     sim          simulate a design with pokes from the command line
+     run          run a built-in workload on a built-in processor design
+     cov          coverage: collect from runs, merge databases, render reports
+     fault        fault injection: run campaigns, merge shards, render reports
+     fuzz         differential fuzzing: run, replay, report, merge
+     equiv        random-stimulus equivalence check of two designs
+     profile      the hottest supernodes of a design/workload pair
+     ckpt         print the newest recoverable generation of a checkpoint store
+     serve        run the gsimd job daemon
+     remote       submit sim/campaign/fuzz/cov jobs to gsimd; status, shutdown
+
+   `sim`, `fault campaign`, `fuzz run` and `cov collect` and their
+   `remote` twins share one job spec per kind: one term builds the
+   Protocol job record, the same Worker body runs it (in-process or on
+   the daemon), and one printer renders either result. *)
 
 open Cmdliner
 module Bits = Gsim_bits.Bits
@@ -31,42 +44,81 @@ module Incident = Gsim_resilience.Incident
 module Fuzz = Gsim_verify.Fuzz
 module Fuzz_corpus = Gsim_verify.Corpus
 module Compile = Gsim_core.Gsim.Compile
-module Server_protocol = Gsim_server.Protocol
+module SP = Gsim_server.Protocol
 module Server_client = Gsim_server.Client
 module Daemon = Gsim_server.Daemon
+module Worker = Gsim_server.Worker
 
 exception Usage of string
 
-let config_of_engine name threads max_supernode level backend =
-  Gsim.config_of_names ~engine:name ~threads ~level ~max_supernode ~backend
+let read_text_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
 
-(* One load path for every subcommand (and the daemon): frontend dispatch
-   by extension, canonical circuit hash for plan caching. *)
-let load_source file = Compile.source_of_file file
+(* With --json, stdout carries exactly one JSON value; everything else a
+   command has to say goes to stderr. *)
+let notice ~json line = if json then prerr_endline line else print_endline line
+
+let save_coverage path db =
+  let db = if Sys.file_exists path then Cov_db.merge (Cov_db.load path) db else db in
+  Cov_db.save path db;
+  db
+
+let coverage_line path db =
+  Printf.sprintf "coverage: %.1f%% -> %s (%d run(s))"
+    (Cov_db.total_percent (Cov_db.summary db)) path db.Cov_db.runs
 
 (* Wrap a compiled simulator with a coverage collector when requested.
-   Activity engines (essent/gsim) use the change-event fast path; everything
-   else falls back to per-cycle resampling.  [finish] writes the database,
-   merging into [path] if it already holds coverage from earlier runs. *)
-let attach_coverage coverage_path (compiled : Gsim.compiled) =
+   [finish] writes the database, merging into [path] if it already holds
+   coverage from earlier runs. *)
+let attach_coverage ~json coverage_path (compiled : Gsim.compiled) =
   match coverage_path with
   | None -> (compiled.Gsim.sim, fun () -> ())
   | Some path ->
-    let cov, sim =
-      match compiled.Gsim.activity with
-      | Some engine ->
-        Cov_collect.of_activity ~name:compiled.Gsim.sim.Sim.sim_name engine
-      | None -> Cov_collect.create compiled.Gsim.sim
-    in
-    let finish () =
-      let db = Cov_collect.db cov in
-      let db = if Sys.file_exists path then Cov_db.merge (Cov_db.load path) db else db in
-      Cov_db.save path db;
-      let s = Cov_db.summary db in
-      Printf.printf "coverage: %.1f%% -> %s (%d run(s))\n" (Cov_db.total_percent s) path
-        db.Cov_db.runs
-    in
-    (sim, finish)
+    let cov, sim = Cov_collect.of_sim ?activity:compiled.Gsim.activity compiled.Gsim.sim in
+    (sim, fun () -> notice ~json (coverage_line path (save_coverage path (Cov_collect.db cov))))
+
+(* A built-in design and workload by name. *)
+let builtin ?(unknown = "unknown design") design workload =
+  match (Designs.by_name design, Programs.by_name workload) with
+  | Some d, Some mk -> (d.Designs.build (), mk ())
+  | None, _ ->
+    failwith
+      (Printf.sprintf "%s %S (one of: %s)" unknown design
+         (String.concat ", " (List.map (fun d -> d.Designs.design_name) Designs.all)))
+  | _, None ->
+    failwith
+      (Printf.sprintf "unknown workload %S (one of: %s)" workload
+         (String.concat ", " Programs.names))
+
+(* Write [text] to [output], or to stdout without one. *)
+let write_or_print output text =
+  match output with
+  | Some path ->
+    let oc = open_out path in
+    output_string oc text;
+    close_out oc;
+    Printf.printf "wrote %s\n" path
+  | None -> print_string text
+
+let level_of_string s =
+  match Pipeline.level_of_string s with
+  | Some l -> l
+  | None -> failwith "unknown optimization level"
+
+(* `gsim cov|fault|fuzz merge`: fold the input databases into one, save
+   it, and print [summary inputs merged out]. *)
+let merge_cmd ~doc ~docv ~out_doc ~in_doc ~load ~merge ~save ~summary =
+  let run out inputs =
+    let merged = List.fold_left merge (load (List.hd inputs)) (List.map load (List.tl inputs)) in
+    save out merged;
+    print_endline (summary (List.length inputs) merged out)
+  in
+  let out = Arg.(required & opt (some string) None & info [ "o"; "output" ] ~docv ~doc:out_doc) in
+  let inputs = Arg.(non_empty & pos_all file [] & info [] ~docv ~doc:in_doc) in
+  Cmd.v (Cmd.info "merge" ~doc) Term.(const run $ out $ inputs)
 
 (* --- common arguments --------------------------------------------------- *)
 
@@ -113,19 +165,183 @@ let coverage_arg =
     & info [ "coverage" ] ~docv:"FILE.cov"
         ~doc:"Collect toggle/node/condition coverage; merges into FILE.cov if it exists")
 
+let design_arg =
+  Arg.(required & pos 0 (some string) None
+       & info [] ~docv:"DESIGN" ~doc:"Built-in design: stucore|rocket|boom|xiangshan")
+
+let workload_arg =
+  Arg.(value & pos 1 string "coremark" & info [] ~docv:"WORKLOAD" ~doc:"Built-in program name")
+
 let json_arg =
   Arg.(value & flag & info [ "json" ] ~doc:"Machine-readable JSON output")
 
-let parse_pokes circuit specs =
-  List.map
-    (fun spec ->
-      match String.split_on_char '=' spec with
-      | [ name; value ] -> (
-        match Circuit.find_node circuit name with
-        | Some n -> (n.Circuit.id, Bits.of_int ~width:n.Circuit.width (int_of_string value))
-        | None -> failwith (Printf.sprintf "no input named %S" name))
-      | _ -> failwith (Printf.sprintf "bad poke %S (want name=value)" spec))
-    specs
+(* The engine options of every job kind; a typo fails here, before
+   anything runs or ships. *)
+let engine_opts =
+  let make eo_engine eo_threads eo_level eo_max_supernode eo_backend =
+    let o = { SP.eo_engine; eo_backend; eo_level; eo_max_supernode; eo_threads } in
+    ignore (Worker.config_of_opts o);
+    o
+  in
+  Term.(const make $ engine_arg $ threads_arg $ level_arg $ supernode_arg $ backend_arg)
+
+let pokes_arg =
+  Arg.(value & opt_all string []
+       & info [ "poke"; "p" ] ~docv:"NAME=VAL"
+           ~doc:"Drive an input for the whole run (in a fault campaign: golden and \
+                 faulty runs alike)")
+
+(* --- job specs -------------------------------------------------------------
+   One term per job kind builds its Protocol record; `gsim X` runs it
+   in-process and `gsim remote X` ships it to gsimd, both through the same
+   Worker body.  Only the layer around the record differs: local flags
+   (VCD, checkpoints, resume, ...) on one side, the transport on the
+   other. *)
+
+let sim_job =
+  let make file sj_opts sj_cycles sj_pokes =
+    { SP.sj_filename = Filename.basename file; sj_design = read_text_file file; sj_opts;
+      sj_cycles; sj_pokes; sj_token = None; sj_tenant = None; sj_deadline = 0. }
+  in
+  let cycles = Arg.(value & opt int 100 & info [ "cycles"; "n" ] ~doc:"Cycles to run") in
+  Term.(const make $ file_arg $ engine_opts $ cycles $ pokes_arg)
+
+let campaign_job =
+  let make file cj_opts cj_horizon cj_budget cj_random cj_seed cj_models cj_duration
+      cj_faults cj_pokes =
+    { SP.cj_filename = Filename.basename file; cj_design = read_text_file file; cj_opts;
+      cj_horizon; cj_budget; cj_faults; cj_random; cj_seed; cj_duration; cj_models;
+      cj_pokes; cj_token = None; cj_tenant = None; cj_deadline = 0. }
+  in
+  let horizon =
+    Arg.(value & opt int Campaign.default_config.Campaign.horizon
+         & info [ "cycles"; "n" ] ~docv:"N" ~doc:"Golden-run horizon in cycles")
+  in
+  let budget =
+    Arg.(value & opt int Campaign.default_config.Campaign.budget
+         & info [ "budget" ] ~docv:"N" ~doc:"Observation window per fault (watchdog)")
+  in
+  let nfaults =
+    Arg.(value & opt int 0
+         & info [ "faults" ] ~docv:"N" ~doc:"Draw N random faults over the design's signals")
+  in
+  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Random fault-list seed") in
+  let models =
+    Arg.(value & opt (some string) None
+         & info [ "models" ] ~docv:"M,M" ~doc:"Restrict random faults: seu, stuck0, stuck1, word")
+  in
+  let duration =
+    Arg.(value & opt int 1 & info [ "duration" ] ~doc:"Duration of random stuck/word faults")
+  in
+  let fault_keys =
+    Arg.(value & opt_all string []
+         & info [ "fault"; "f" ] ~docv:"KEY"
+             ~doc:"Inject a specific fault, e.g. cpu.pc#seu:3@120 (repeatable)")
+  in
+  Term.(const make $ file_arg $ engine_opts $ horizon $ budget $ nfaults $ seed $ models
+        $ duration $ fault_keys $ pokes_arg)
+
+let fuzz_job =
+  let make fj_seed fj_cases fj_from fj_cycles fj_setups =
+    { SP.fj_seed; fj_cases; fj_from; fj_cycles; fj_setups; fj_token = None;
+      fj_tenant = None; fj_deadline = 0. }
+  in
+  let seed =
+    Arg.(value & opt int 1
+         & info [ "seed" ] ~doc:"Campaign seed; same seed, same cases and repro buckets")
+  in
+  let cases =
+    Arg.(value & opt int 200
+         & info [ "cases"; "n" ] ~docv:"N" ~doc:"Number of case indices to explore")
+  in
+  let from =
+    Arg.(value & opt int 0
+         & info [ "from" ] ~docv:"I"
+             ~doc:"First case index (sharding: disjoint ranges, then fuzz merge)")
+  in
+  let cycles =
+    Arg.(value & opt int Fuzz.default_campaign.Fuzz.cycles
+         & info [ "cycles" ] ~docv:"N" ~doc:"Stimulus length per case")
+  in
+  let setups =
+    Arg.(value & opt (some string) None
+         & info [ "setups" ] ~docv:"S,S"
+             ~doc:"Comma-separated engine+backend subjects (e.g. gsim+closures,gsim+native); \
+                   default: all four presets on closures, plus verilator and gsim \
+                   on native when a C compiler is available")
+  in
+  Term.(const make $ seed $ cases $ from $ cycles $ setups)
+
+(* [target] is the design file, or locally also a built-in design name
+   (then the record carries no design text). *)
+let cov_job target =
+  let make path vj_opts vj_cycles vj_pokes =
+    { SP.vj_filename = Filename.basename path;
+      vj_design = (if Sys.file_exists path then read_text_file path else "");
+      vj_opts; vj_cycles; vj_pokes; vj_token = None; vj_tenant = None; vj_deadline = 0. }
+  in
+  let cycles =
+    Arg.(value & opt int 100_000 & info [ "cycles"; "n" ] ~doc:"Cycle budget")
+  in
+  Term.(const make $ target $ engine_opts $ cycles $ pokes_arg)
+
+let campaign_out_arg =
+  Arg.(value & opt string "gsim.fdb"
+       & info [ "db"; "o"; "output" ] ~docv:"FILE.fdb"
+           ~doc:"Campaign database (appended as faults finish)")
+
+let latent_arg =
+  Arg.(value & opt int 0
+       & info [ "latent" ] ~docv:"N" ~doc:"List up to N latent faults in the text report")
+
+let cov_out_arg =
+  Arg.(value & opt string "gsim.cov"
+       & info [ "o"; "output" ] ~docv:"FILE.cov" ~doc:"Coverage database (merged into if present)")
+
+(* --- result printers -------------------------------------------------------
+   One printer per result kind, for the local and the remote result alike.
+   [fields] are the runner's own JSON fields (local counters, remote cache
+   verdicts); [tail] prints the runner's own text lines. *)
+
+let json_with fields obj =
+  if fields = "" then obj else String.sub obj 0 (String.length obj - 1) ^ fields ^ "}"
+
+let print_sim ~json ?ran ?(where = "") ?(fields = "") ?(tail = ignore) (r : SP.sim_result) =
+  if json then
+    Printf.printf "{\"engine\":\"%s\",\"cycles\":%d,\"outputs\":{%s}%s}\n" r.SP.sr_engine
+      r.SP.sr_cycles
+      (String.concat ","
+         (List.map (fun (n, v) -> Printf.sprintf "\"%s\":\"%s\"" n v) r.SP.sr_outputs))
+      fields
+  else begin
+    if r.SP.sr_halted then Printf.printf "$halt asserted at cycle %d\n" r.SP.sr_cycles;
+    (match ran with
+     | Some n -> Printf.printf "ran %d cycles (to cycle %d) on %s%s\n" n r.SP.sr_cycles
+                   r.SP.sr_engine where
+     | None -> Printf.printf "ran %d cycles on %s%s\n" r.SP.sr_cycles r.SP.sr_engine where);
+    List.iter (fun (n, v) -> Printf.printf "  %-24s = %s\n" n v) r.SP.sr_outputs;
+    tail ()
+  end
+
+(* A database result: its report object plus [fields] under --json, else
+   its text report followed by [tail]. *)
+let print_report ~json ?(fields = "") ?(tail = ignore) json_report text_report =
+  if json then print_endline (json_with fields (json_report ()))
+  else (print_string (text_report ()); tail ())
+
+let print_campaign ~json ~latent ~out ~total ?fields ?tail db =
+  print_report ~json ?fields ?tail (fun () -> Fault_report.to_json db) (fun () ->
+      Fault_report.to_string ~latent db
+      ^ Printf.sprintf "database: %s (%d of %d fault(s) done)\n" out (Fault_db.count db) total)
+
+let print_fuzz ~json ?fields ?tail db =
+  print_report ~json ?fields ?tail (fun () -> Fuzz.report_json db) (fun () -> Fuzz.report_text db)
+
+(* Coverage results merge into [out] like every other coverage run. *)
+let print_cov ~json ~out ?fields ?tail db =
+  let db = save_coverage out db in
+  print_report ~json ?fields ?tail (fun () -> Cov_report.to_json db) (fun () ->
+      coverage_line out db ^ "\n")
 
 (* --- resilience ----------------------------------------------------------
    The flags shared by `sim` and `run` that route execution through a
@@ -189,84 +405,78 @@ let incident_dir_arg =
        & info [ "incident-dir" ] ~docv:"DIR"
            ~doc:"Where incident reports are written (default: --checkpoint-dir)")
 
-let session_config ck_every ck_dir ring keyframe_every resume shadow_stride
-    shadow_window watchdog incident_dir injects =
-  let wants =
-    ck_every <> None || ck_dir <> None || resume || shadow_stride <> None
-    || watchdog <> None || incident_dir <> None || injects <> []
+(* The resilience flags of `sim` and `run` as one term: the session
+   configuration (None when no flag asks for one), --resume, and the
+   --inject keys. *)
+let session_term =
+  let make checkpoint_every checkpoint_dir ring keyframe_every resume shadow_stride
+      shadow_window watchdog_seconds incident_dir injects =
+    let wants =
+      checkpoint_every <> None || checkpoint_dir <> None || resume || shadow_stride <> None
+      || watchdog_seconds <> None || incident_dir <> None || injects <> []
+    in
+    if not wants then (None, false, [])
+    else begin
+      let fail_if cond msg = if cond then raise (Usage msg) in
+      let positive flag = function
+        | Some n -> fail_if (n <= 0) (flag ^ " must be positive")
+        | None -> ()
+      in
+      fail_if (resume && checkpoint_dir = None) "--resume requires --checkpoint-dir";
+      fail_if (checkpoint_every <> None && checkpoint_dir = None)
+        "--checkpoint-every requires --checkpoint-dir";
+      positive "--checkpoint-every" checkpoint_every;
+      fail_if (keyframe_every < 0) "--keyframe-every must be >= 0";
+      positive "--shadow-stride" shadow_stride;
+      positive "--shadow-window" shadow_window;
+      fail_if (shadow_window <> None && shadow_stride = None)
+        "--shadow-window requires --shadow-stride";
+      ( Some
+          { Session.checkpoint_every; checkpoint_dir; ring; keyframe_every; shadow_stride;
+            shadow_window; watchdog_seconds; incident_dir },
+        resume,
+        injects )
+    end
   in
-  if not wants then None
-  else begin
-    if resume && ck_dir = None then raise (Usage "--resume requires --checkpoint-dir");
-    if ck_every <> None && ck_dir = None then
-      raise (Usage "--checkpoint-every requires --checkpoint-dir");
-    (match ck_every with
-     | Some n when n <= 0 -> raise (Usage "--checkpoint-every must be positive")
-     | _ -> ());
-    if keyframe_every < 0 then raise (Usage "--keyframe-every must be >= 0");
-    (match shadow_stride with
-     | Some n when n <= 0 -> raise (Usage "--shadow-stride must be positive")
-     | _ -> ());
-    (match shadow_window with
-     | Some n when n <= 0 -> raise (Usage "--shadow-window must be positive")
-     | Some _ when shadow_stride = None ->
-       raise (Usage "--shadow-window requires --shadow-stride")
-     | _ -> ());
-    Some
-      {
-        Session.checkpoint_every = ck_every;
-        checkpoint_dir = ck_dir;
-        ring;
-        keyframe_every;
-        shadow_stride;
-        shadow_window;
-        watchdog_seconds = watchdog;
-        incident_dir;
-      }
-  end
+  Term.(const make $ ck_every_arg $ ck_dir_arg $ ck_ring_arg $ keyframe_arg $ resume_arg
+        $ shadow_arg $ shadow_window_arg $ watchdog_arg $ incident_dir_arg $ inject_arg)
 
-let resolve_injections circuit keys =
-  List.map
-    (fun key ->
-      let f = Fault.of_key key in
-      match Circuit.find_node circuit f.Fault.target with
-      | Some n -> (f, n)
-      | None -> failwith (Printf.sprintf "inject: no node named %S" f.Fault.target))
-    keys
-
-(* Injections run on the primary sim only (a degraded session leaves its
-   faults behind): registers latch the flipped value, everything else
-   goes through the engine's force/release override layer. *)
-let schedule_injections circuit t resolved =
+(* --inject faults run on the primary sim only (a degraded session leaves
+   them behind). *)
+let schedule_injections circuit t faults =
   List.iter
     (fun ((f : Fault.t), (n : Circuit.node)) ->
       let id = n.Circuit.id in
-      let width = n.Circuit.width in
-      let onehot b =
-        if b < 0 || b >= width then
-          failwith (Printf.sprintf "inject %s: bit %d out of range" (Fault.key f) b)
-        else Bits.resize_unsigned (Bits.shift_left (Bits.one 1) b) ~width
-      in
-      let is_register = Circuit.register_of_node circuit id <> None in
-      let c = f.Fault.cycle in
-      match f.Fault.model with
-      | Fault.Seu b when is_register ->
-        Session.inject_at t ~cycle:c (fun sim ->
-            sim.Sim.write_reg id (Bits.logxor (sim.Sim.peek id) (onehot b));
-            sim.Sim.invalidate ())
-      | Fault.Seu b ->
-        Session.inject_at t ~cycle:c (fun sim ->
-            sim.Sim.force ~mask:(onehot b) id (Bits.logxor (sim.Sim.peek id) (onehot b)));
-        Session.inject_at t ~cycle:(c + 1) (fun sim -> sim.Sim.release id)
-      | Fault.Stuck (v, b, d) ->
-        Session.inject_at t ~cycle:c (fun sim ->
-            let m = onehot b in
-            sim.Sim.force ~mask:m id (if v then m else Bits.zero width));
-        Session.inject_at t ~cycle:(c + d) (fun sim -> sim.Sim.release id)
-      | Fault.Word_force (v, d) ->
-        Session.inject_at t ~cycle:c (fun sim -> sim.Sim.force id v);
-        Session.inject_at t ~cycle:(c + d) (fun sim -> sim.Sim.release id))
-    resolved
+      let register = Circuit.register_of_node circuit id <> None in
+      Session.inject_at t ~cycle:f.Fault.cycle (fun sim ->
+          Fault.inject sim ~register ~width:n.Circuit.width id f);
+      Option.iter
+        (fun c -> Session.inject_at t ~cycle:c (fun sim -> sim.Sim.release id))
+        (Fault.release_cycle ~register f))
+    faults
+
+(* Run [f] on a resilient session over [circuit] with the --inject faults
+   scheduled and, with --resume, the newest checkpoint restored; [f] also
+   gets where the session resumed, if it did. *)
+let with_session ~json scfg config circuit injects resume f =
+  let resolved =
+    List.map
+      (fun key ->
+        let f = Fault.of_key key in
+        match Circuit.find_node circuit f.Fault.target with
+        | Some n -> (f, n)
+        | None -> failwith (Printf.sprintf "inject: no node named %S" f.Fault.target))
+      injects
+  in
+  let forcible = List.map (fun (_, (n : Circuit.node)) -> n.Circuit.id) resolved in
+  let t = Session.create ~forcible scfg config circuit in
+  Fun.protect ~finally:(fun () -> Session.destroy t) @@ fun () ->
+  schedule_injections circuit t resolved;
+  let resumed = if resume then Session.resume t else None in
+  Option.iter
+    (fun (c, path) -> if not json then Printf.printf "resumed at cycle %d from %s\n" c path)
+    resumed;
+  f t resumed
 
 let print_session_summary t (o : Session.outcome) =
   if o.Session.checkpoints_written > 0 then
@@ -279,7 +489,7 @@ let print_session_summary t (o : Session.outcome) =
   if o.Session.degraded then
     Printf.printf "degraded: session completed on %s\n" (Session.active_name t)
 
-let session_json_fields _t (o : Session.outcome) resumed =
+let session_json_fields (o : Session.outcome) resumed =
   Printf.sprintf
     "\"resumed_at\":%s,\"final_cycle\":%d,\"checkpoints\":%d,\"windows_verified\":%d,\"incidents\":%d,\"degraded\":%b"
     (match resumed with Some (c, _) -> string_of_int c | None -> "null")
@@ -291,8 +501,7 @@ let session_json_fields _t (o : Session.outcome) resumed =
 
 let stats_cmd =
   let run file =
-    let src = load_source file in
-    let circuit, halt = (src.Compile.circuit, src.Compile.halt) in
+    let { Compile.circuit; halt; _ } = Compile.source_of_file file in
     let s = Circuit.stats circuit in
     Printf.printf "design   : %s\n" (Circuit.name circuit);
     Printf.printf "unoptimized: %s\n" (Format.asprintf "%a" Circuit.pp_stats s);
@@ -319,19 +528,13 @@ let stats_cmd =
 
 let emit_cmd =
   let run file engine level max_supernode output =
-    let circuit = (load_source file).Compile.circuit in
+    let circuit = (Compile.source_of_file file).Compile.circuit in
     let config =
-      config_of_engine engine 1 max_supernode level
-        (Gsim_engine.Eval.to_string Gsim_engine.Eval.default)
+      Gsim.config_of_names ~engine ~threads:1 ~level ~max_supernode
+        ~backend:(Gsim_engine.Eval.to_string Gsim_engine.Eval.default)
     in
     let r = Gsim.emit_cpp config circuit in
-    (match output with
-     | Some path ->
-       let oc = open_out path in
-       output_string oc r.Emit.source;
-       close_out oc;
-       Printf.printf "wrote %s\n" path
-     | None -> print_string r.Emit.source);
+    write_or_print output r.Emit.source;
     Printf.eprintf "emission: %.3fs, code %d B, data %d B, memories %d B\n"
       r.Emit.emission_seconds r.Emit.code_bytes r.Emit.data_bytes r.Emit.mem_bytes
   in
@@ -345,19 +548,10 @@ let emit_cmd =
 
 let emit_fir_cmd =
   let run file level output =
-    let circuit = (load_source file).Compile.circuit in
-    (match Option.map Pipeline.level_of_string level with
-     | Some (Some l) -> ignore (Pipeline.optimize ~level:l circuit)
-     | Some None -> failwith "unknown optimization level"
-     | None -> ());
+    let circuit = (Compile.source_of_file file).Compile.circuit in
+    Option.iter (fun l -> ignore (Pipeline.optimize ~level:(level_of_string l) circuit)) level;
     let r = Gsim_firrtl.Firrtl_emit.emit circuit in
-    (match output with
-     | Some path ->
-       let oc = open_out path in
-       output_string oc r.Gsim_firrtl.Firrtl_emit.text;
-       close_out oc;
-       Printf.printf "wrote %s\n" path
-     | None -> print_string r.Gsim_firrtl.Firrtl_emit.text);
+    write_or_print output r.Gsim_firrtl.Firrtl_emit.text;
     List.iter
       (Printf.eprintf "warning: register %s lost its nonzero initial value\n")
       r.Gsim_firrtl.Firrtl_emit.lossy_inits
@@ -370,135 +564,59 @@ let emit_fir_cmd =
 (* --- sim ----------------------------------------------------------------- *)
 
 let sim_cmd =
+  let save_checkpoint ~json path ck =
+    Gsim_engine.Checkpoint.save path ck;
+    notice ~json ("checkpoint written to " ^ path)
+  in
   (* The resilient path: the whole run goes through a Session, which owns
      instantiation (primary and fallback must share the kept-register
      set), periodic persistence, shadow verification, and degradation. *)
-  let run_resilient circuit halt config scfg resume injects cycles pokes save_ck json =
-    let resolved = resolve_injections circuit injects in
-    let forcible = List.map (fun (_, (n : Circuit.node)) -> n.Circuit.id) resolved in
-    let t = Session.create ~forcible scfg config circuit in
-    Fun.protect ~finally:(fun () -> Session.destroy t) @@ fun () ->
-    schedule_injections circuit t resolved;
-    let resumed = if resume then Session.resume t else None in
-    (match resumed with
-     | Some (c, path) -> if not json then Printf.printf "resumed at cycle %d from %s\n" c path
-     | None -> if resume && not json then print_endline "no checkpoint to resume from");
-    let const_pokes = parse_pokes circuit pokes in
-    let stimulus _cycle = const_pokes in
-    let o = Session.run ~stimulus ?halt t cycles in
-    let sim = Session.sim t in
-    if json then begin
-      let outputs =
-        Circuit.outputs circuit
-        |> List.map (fun (n : Circuit.node) ->
-               Printf.sprintf "\"%s\":\"%s\"" n.Circuit.name
-                 (Format.asprintf "%a" Bits.pp (sim.Sim.peek n.Circuit.id)))
-        |> String.concat ","
-      in
-      Printf.printf "{\"engine\":\"%s\",\"cycles\":%d,\"outputs\":{%s},%s}\n"
-        (Session.active_name t) o.Session.final_cycle outputs
-        (session_json_fields t o resumed)
-    end
-    else begin
-      if o.Session.halted then Printf.printf "$halt asserted at cycle %d\n" o.Session.final_cycle;
-      Printf.printf "ran %d cycles (to cycle %d) on %s\n" o.Session.ran
-        o.Session.final_cycle (Session.active_name t);
-      List.iter
-        (fun (n : Circuit.node) ->
-          Printf.printf "  %-24s = %s\n" n.Circuit.name
-            (Format.asprintf "%a" Bits.pp (sim.Sim.peek n.Circuit.id)))
-        (Circuit.outputs circuit);
-      print_session_summary t o
-    end;
-    match save_ck with
-    | Some path ->
-      Gsim_engine.Checkpoint.save path (Session.checkpoint t);
-      if not json then Printf.printf "checkpoint written to %s\n" path
-    | None -> ()
+  let run_resilient (source : Compile.source) config scfg resume injects
+      (job : SP.sim_job) save_ck json =
+    let circuit = source.Compile.circuit in
+    with_session ~json scfg config circuit injects resume @@ fun t resumed ->
+    if resume && resumed = None && not json then print_endline "no checkpoint to resume from";
+    let pokes = Sim.parse_pokes circuit job.SP.sj_pokes in
+    let o = Session.run ~stimulus:(fun _ -> pokes) ?halt:source.Compile.halt t job.SP.sj_cycles in
+    print_sim ~json ~ran:o.Session.ran ~fields:("," ^ session_json_fields o resumed)
+      ~tail:(fun () -> print_session_summary t o)
+      { SP.sr_engine = Session.active_name t; sr_cycles = o.Session.final_cycle;
+        sr_halted = o.Session.halted; sr_outputs = Sim.outputs (Session.sim t) circuit;
+        sr_cache_hit = false; sr_compile_seconds = 0.; sr_preemptions = 0 };
+    Option.iter (fun path -> save_checkpoint ~json path (Session.checkpoint t)) save_ck
   in
-  let run file engine threads level max_supernode backend cycles pokes vcd_path save_ck
-      restore_ck coverage json ck_every ck_dir ring keyframe_every resume shadow_stride
-      shadow_window watchdog incident_dir injects =
-    let src = load_source file in
-    let circuit, halt = (src.Compile.circuit, src.Compile.halt) in
-    let config = config_of_engine engine threads max_supernode level backend in
-    match
-      session_config ck_every ck_dir ring keyframe_every resume shadow_stride
-        shadow_window watchdog incident_dir injects
-    with
+  let run job vcd_path save_ck restore_ck coverage json (session, resume, injects) =
+    let source = Compile.source_of_string ~filename:job.SP.sj_filename job.SP.sj_design in
+    let config = Worker.config_of_opts job.SP.sj_opts in
+    match session with
     | Some scfg ->
       if coverage <> None || vcd_path <> None || restore_ck <> None then
         raise
           (Usage
              "--coverage/--vcd/--restore-checkpoint cannot be combined with resilience \
               options (use --checkpoint-dir/--resume instead)");
-      run_resilient circuit halt config scfg resume injects cycles pokes save_ck json
+      run_resilient source config scfg resume injects job save_ck json
     | None ->
-    let compiled = Compile.realize (Compile.prepare config src) in
-    let sim, finish_coverage = attach_coverage coverage compiled in
+    let compiled = Compile.realize (Compile.prepare config source) in
+    let sim, finish_coverage = attach_coverage ~json coverage compiled in
     let sim, close_vcd =
       match vcd_path with
       | Some path -> Gsim_engine.Vcd.to_file path sim
       | None -> (sim, fun () -> ())
     in
-    (match restore_ck with
-     | Some path -> Gsim_engine.Checkpoint.restore sim (Gsim_engine.Checkpoint.load path)
-     | None -> ());
-    List.iter
-      (fun spec ->
-        match String.split_on_char '=' spec with
-        | [ name; value ] -> (
-            match Circuit.find_node circuit name with
-            | Some n ->
-              sim.Sim.poke n.Circuit.id
-                (Bits.of_int ~width:n.Circuit.width (int_of_string value))
-            | None -> failwith (Printf.sprintf "no input named %S" name))
-        | _ -> failwith (Printf.sprintf "bad poke %S (want name=value)" spec))
-      pokes;
-    let ran = ref 0 in
-    (try
-       for i = 1 to cycles do
-         sim.Sim.step ();
-         ran := i;
-         match halt with
-         | Some h when not (Bits.is_zero (sim.Sim.peek h)) -> raise Exit
-         | _ -> ()
-       done
-     with Exit -> if not json then Printf.printf "$halt asserted at cycle %d\n" !ran);
-    if json then begin
-      let outputs =
-        Circuit.outputs circuit
-        |> List.map (fun (n : Circuit.node) ->
-               Printf.sprintf "\"%s\":\"%s\"" n.Circuit.name
-                 (Format.asprintf "%a" Bits.pp (sim.Sim.peek n.Circuit.id)))
-        |> String.concat ","
-      in
-      Printf.printf "{\"engine\":\"%s\",\"cycles\":%d,\"outputs\":{%s},\"counters\":%s}\n"
-        config.Gsim.config_name !ran outputs
-        (Counters.to_json (sim.Sim.counters ()))
-    end
-    else begin
-      Printf.printf "ran %d cycles on %s\n" !ran config.Gsim.config_name;
-      List.iter
-        (fun (n : Circuit.node) ->
-          Printf.printf "  %-24s = %s\n" n.Circuit.name
-            (Format.asprintf "%a" Bits.pp (sim.Sim.peek n.Circuit.id)))
-        (Circuit.outputs circuit);
-      Printf.printf "counters: %s\n"
-        (Format.asprintf "%a" Counters.pp (sim.Sim.counters ()))
-    end;
+    Option.iter
+      (fun path -> Gsim_engine.Checkpoint.restore sim (Gsim_engine.Checkpoint.load path))
+      restore_ck;
+    let r = Worker.run_sim_job ?halt:source.Compile.halt config source.Compile.circuit sim job in
+    let ctr = sim.Sim.counters () in
+    print_sim ~json ~fields:(",\"counters\":" ^ Counters.to_json ctr)
+      ~tail:(fun () -> Printf.printf "counters: %s\n" (Format.asprintf "%a" Counters.pp ctr))
+      r;
     finish_coverage ();
-    (match save_ck with
-     | Some path ->
-       Gsim_engine.Checkpoint.save path (Gsim_engine.Checkpoint.capture sim);
-       Printf.printf "checkpoint written to %s\n" path
-     | None -> ());
+    Option.iter
+      (fun path -> save_checkpoint ~json path (Gsim_engine.Checkpoint.capture sim)) save_ck;
     close_vcd ();
     compiled.Gsim.destroy ()
-  in
-  let cycles = Arg.(value & opt int 100 & info [ "cycles"; "n" ] ~doc:"Cycles to run") in
-  let pokes =
-    Arg.(value & opt_all string [] & info [ "poke"; "p" ] ~docv:"NAME=VAL" ~doc:"Drive an input")
   in
   let vcd =
     Arg.(value & opt (some string) None & info [ "vcd" ] ~docv:"FILE.vcd" ~doc:"Dump waveforms")
@@ -512,232 +630,124 @@ let sim_cmd =
          & info [ "restore-checkpoint" ] ~docv:"FILE" ~doc:"Start from a checkpoint")
   in
   Cmd.v (Cmd.info "sim" ~doc:"Simulate a FIRRTL design")
-    Term.(const run $ file_arg $ engine_arg $ threads_arg $ level_arg $ supernode_arg
-          $ backend_arg $ cycles $ pokes $ vcd $ save_ck $ restore_ck $ coverage_arg
-          $ json_arg $ ck_every_arg $ ck_dir_arg $ ck_ring_arg $ keyframe_arg
-          $ resume_arg $ shadow_arg $ shadow_window_arg $ watchdog_arg
-          $ incident_dir_arg $ inject_arg)
+    Term.(const run $ sim_job $ vcd $ save_ck $ restore_ck $ coverage_arg $ json_arg
+          $ session_term)
 
 (* --- run ----------------------------------------------------------------- *)
 
 let run_cmd =
-  let run_resilient core prog design _workload config scfg resume injects max_cycles json =
-    let circuit = core.Stu_core.circuit in
-    let resolved = resolve_injections circuit injects in
-    let forcible = List.map (fun (_, (n : Circuit.node)) -> n.Circuit.id) resolved in
-    let t = Session.create ~forcible scfg config circuit in
-    Fun.protect ~finally:(fun () -> Session.destroy t) @@ fun () ->
-    schedule_injections circuit t resolved;
-    let resumed = if resume then Session.resume t else None in
-    (match resumed with
-     | Some (c, path) -> if not json then Printf.printf "resumed at cycle %d from %s\n" c path
-     | None ->
-       (* A fresh session loads the program; a resumed one gets its memory
-          image (and any stores the program already did) from the
-          checkpoint. *)
-       Designs.load_program (Session.sim t) core.Stu_core.h prog);
-    let t0 = Unix.gettimeofday () in
-    let o = Session.run ~halt:core.Stu_core.h.Stu_core.halt t max_cycles in
-    let dt = Unix.gettimeofday () -. t0 in
-    let sim = Session.sim t in
+  (* One result line or object for the plain and the resilient run;
+     [fields] are each one's own JSON fields, [line] its text summary. *)
+  let print_run ~json design (prog : Gsim_designs.Isa.program) ~engine ~cycles ~instructions
+      ~seconds ~fields ~line =
     if json then
       Printf.printf
-        "{\"design\":\"%s\",\"workload\":\"%s\",\"engine\":\"%s\",\"cycles\":%d,\"instructions\":%d,\"seconds\":%.6f,%s}\n"
-        design prog.Gsim_designs.Isa.prog_name (Session.active_name t)
-        o.Session.final_cycle
-        (Sim.peek_int sim core.Stu_core.h.Stu_core.instret)
-        dt
-        (session_json_fields t o resumed)
-    else begin
-      Printf.printf "%s on %s: %s at cycle %d, %d instructions in %.3fs\n"
-        prog.Gsim_designs.Isa.prog_name (Session.active_name t)
-        (if o.Session.halted then "halted" else "cycle budget exhausted")
-        o.Session.final_cycle
-        (Sim.peek_int sim core.Stu_core.h.Stu_core.instret)
-        dt;
-      print_session_summary t o
-    end
+        "{\"design\":\"%s\",\"workload\":\"%s\",\"engine\":\"%s\",\"cycles\":%d,\"instructions\":%d,\"seconds\":%.6f%s}\n"
+        design prog.Gsim_designs.Isa.prog_name engine cycles instructions seconds fields
+    else Printf.printf "%s on %s: %s\n" prog.Gsim_designs.Isa.prog_name engine line
   in
-  let run design workload engine threads level max_supernode backend max_cycles coverage
-      json ck_every ck_dir ring keyframe_every resume shadow_stride shadow_window
-      watchdog incident_dir injects =
-    let d =
-      match Designs.by_name design with
-      | Some d -> d
-      | None ->
-        failwith
-          (Printf.sprintf "unknown design %S (one of: %s)" design
-             (String.concat ", " (List.map (fun d -> d.Designs.design_name) Designs.all)))
-    in
-    let prog =
-      match Programs.by_name workload with
-      | Some mk -> mk ()
-      | None ->
-        failwith
-          (Printf.sprintf "unknown workload %S (one of: %s)" workload
-             (String.concat ", " Programs.names))
-    in
-    let core = d.Designs.build () in
+  let run_resilient core prog design config scfg resume injects max_cycles json =
+    with_session ~json scfg config core.Stu_core.circuit injects resume @@ fun t resumed ->
+    (* A fresh session loads the program; a resumed one gets its memory
+       image (and any stores the program already did) from the
+       checkpoint. *)
+    if resumed = None then Designs.load_program (Session.sim t) core.Stu_core.h prog;
+    let t0 = Unix.gettimeofday () in
+    let o = Session.run ~halt:core.Stu_core.h.Stu_core.halt t max_cycles in
+    let seconds = Unix.gettimeofday () -. t0 in
+    let instructions = Sim.peek_int (Session.sim t) core.Stu_core.h.Stu_core.instret in
+    print_run ~json design prog ~engine:(Session.active_name t) ~cycles:o.Session.final_cycle
+      ~instructions ~seconds ~fields:("," ^ session_json_fields o resumed)
+      ~line:
+        (Printf.sprintf "%s at cycle %d, %d instructions in %.3fs"
+           (if o.Session.halted then "halted" else "cycle budget exhausted")
+           o.Session.final_cycle instructions seconds);
+    if not json then print_session_summary t o
+  in
+  let run design workload opts max_cycles coverage json (session, resume, injects) =
+    let core, prog = builtin design workload in
     if not json then Printf.printf "%s\n" (Designs.stats_line core.Stu_core.circuit);
-    let config = config_of_engine engine threads max_supernode level backend in
-    match
-      session_config ck_every ck_dir ring keyframe_every resume shadow_stride
-        shadow_window watchdog incident_dir injects
-    with
+    let config = Worker.config_of_opts opts in
+    match session with
     | Some scfg ->
       if coverage <> None then
         raise (Usage "--coverage cannot be combined with resilience options");
-      run_resilient core prog design workload config scfg resume injects max_cycles json
+      run_resilient core prog design config scfg resume injects max_cycles json
     | None ->
     let compiled = Gsim.instantiate config core.Stu_core.circuit in
-    let sim, finish_coverage = attach_coverage coverage compiled in
+    let sim, finish_coverage = attach_coverage ~json coverage compiled in
     Designs.load_program sim core.Stu_core.h prog;
     (* Write coverage even when the workload exhausts its cycle budget. *)
     Fun.protect ~finally:finish_coverage @@ fun () ->
     let t0 = Unix.gettimeofday () in
     let cycles = Designs.run_program ~max_cycles sim core.Stu_core.h in
-    let dt = Unix.gettimeofday () -. t0 in
+    let seconds = Unix.gettimeofday () -. t0 in
     let ctr = sim.Sim.counters () in
     let af =
       Counters.activity_factor ctr ~total_nodes:(Circuit.node_count core.Stu_core.circuit)
     in
-    if json then
-      Printf.printf
-        "{\"design\":\"%s\",\"workload\":\"%s\",\"engine\":\"%s\",\"cycles\":%d,\"instructions\":%d,\"seconds\":%.6f,\"hz\":%.0f,\"activity_factor\":%.6f,\"counters\":%s}\n"
-        design prog.Gsim_designs.Isa.prog_name config.Gsim.config_name cycles
-        (Sim.peek_int sim core.Stu_core.h.Stu_core.instret)
-        dt
-        (float_of_int cycles /. dt)
-        af (Counters.to_json ctr)
-    else
-      Printf.printf "%s on %s: %d cycles, %d instructions in %.3fs (%.0f Hz, af %.2f%%)\n"
-        prog.Gsim_designs.Isa.prog_name config.Gsim.config_name cycles
-        (Sim.peek_int sim core.Stu_core.h.Stu_core.instret)
-        dt
-        (float_of_int cycles /. dt)
-        (100. *. af);
+    let instructions = Sim.peek_int sim core.Stu_core.h.Stu_core.instret in
+    let hz = float_of_int cycles /. seconds in
+    print_run ~json design prog ~engine:config.Gsim.config_name ~cycles ~instructions ~seconds
+      ~fields:
+        (Printf.sprintf ",\"hz\":%.0f,\"activity_factor\":%.6f,\"counters\":%s" hz af
+           (Counters.to_json ctr))
+      ~line:
+        (Printf.sprintf "%d cycles, %d instructions in %.3fs (%.0f Hz, af %.2f%%)" cycles
+           instructions seconds hz (100. *. af));
     compiled.Gsim.destroy ()
-  in
-  let design =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"DESIGN" ~doc:"stucore|rocket|boom|xiangshan")
-  in
-  let workload =
-    Arg.(value & pos 1 string "coremark" & info [] ~docv:"WORKLOAD" ~doc:"Program name")
   in
   let max_cycles =
     Arg.(value & opt int 2_000_000 & info [ "max-cycles" ] ~doc:"Abort if no halt")
   in
   Cmd.v (Cmd.info "run" ~doc:"Run a built-in workload on a built-in design")
-    Term.(const run $ design $ workload $ engine_arg $ threads_arg $ level_arg $ supernode_arg
-          $ backend_arg $ max_cycles $ coverage_arg $ json_arg $ ck_every_arg $ ck_dir_arg
-          $ ck_ring_arg $ keyframe_arg $ resume_arg $ shadow_arg $ shadow_window_arg
-          $ watchdog_arg $ incident_dir_arg $ inject_arg)
+    Term.(const run $ design_arg $ workload_arg $ engine_opts $ max_cycles $ coverage_arg $ json_arg
+          $ session_term)
 
 (* --- cov ----------------------------------------------------------------- *)
 
 (* gsim cov collect TARGET [WORKLOAD] -o FILE.cov
    TARGET is either a design file (.fir/.v) driven with --poke for a fixed
-   cycle count, or a built-in design name running a built-in workload. *)
+   cycle count — the same job `gsim remote cov` ships — or a built-in
+   design name running a built-in workload. *)
 let cov_collect_cmd =
-  let run target workload engine threads level max_supernode backend cycles pokes out =
-    let config = config_of_engine engine threads max_supernode level backend in
-    if Sys.file_exists target then begin
-      let src = load_source target in
-      let circuit, halt = (src.Compile.circuit, src.Compile.halt) in
-      let compiled = Compile.realize (Compile.prepare config src) in
-      let sim, finish = attach_coverage (Some out) compiled in
-      List.iter
-        (fun spec ->
-          match String.split_on_char '=' spec with
-          | [ name; value ] -> (
-              match Circuit.find_node circuit name with
-              | Some n ->
-                sim.Sim.poke n.Circuit.id
-                  (Bits.of_int ~width:n.Circuit.width (int_of_string value))
-              | None -> failwith (Printf.sprintf "no input named %S" name))
-          | _ -> failwith (Printf.sprintf "bad poke %S (want name=value)" spec))
-        pokes;
-      (try
-         for _ = 1 to cycles do
-           sim.Sim.step ();
-           match halt with
-           | Some h when not (Bits.is_zero (sim.Sim.peek h)) -> raise Exit
-           | _ -> ()
-         done
-       with Exit -> ());
-      finish ();
-      compiled.Gsim.destroy ()
-    end
-    else begin
-      let d =
-        match Designs.by_name target with
-        | Some d -> d
-        | None ->
-          failwith
-            (Printf.sprintf "%S is neither a file nor a built-in design (one of: %s)" target
-               (String.concat ", " (List.map (fun d -> d.Designs.design_name) Designs.all)))
-      in
-      let prog =
-        match Programs.by_name workload with
-        | Some mk -> mk ()
-        | None ->
-          failwith
-            (Printf.sprintf "unknown workload %S (one of: %s)" workload
-               (String.concat ", " Programs.names))
-      in
-      let core = d.Designs.build () in
-      let compiled = Gsim.instantiate config core.Stu_core.circuit in
-      let sim, finish = attach_coverage (Some out) compiled in
-      Designs.load_program sim core.Stu_core.h prog;
-      (* An exhausted cycle budget still yields valid coverage. *)
-      (try ignore (Designs.run_program ~max_cycles:cycles sim core.Stu_core.h)
-       with Failure _ -> ());
-      finish ();
-      compiled.Gsim.destroy ()
-    end
+  let run target workload (job : SP.cov_job) out json =
+    let config = Worker.config_of_opts job.SP.vj_opts in
+    let db =
+      if Sys.file_exists target then begin
+        let source = Compile.source_of_string ~filename:job.SP.vj_filename job.SP.vj_design in
+        let compiled = Compile.realize (Compile.prepare config source) in
+        Fun.protect ~finally:compiled.Gsim.destroy @@ fun () ->
+        Worker.collect_coverage ?halt:source.Compile.halt compiled source.Compile.circuit job
+      end
+      else begin
+        let core, prog = builtin ~unknown:"no design file or built-in design" target workload in
+        let compiled = Gsim.instantiate config core.Stu_core.circuit in
+        Fun.protect ~finally:compiled.Gsim.destroy @@ fun () ->
+        let cov, sim = Cov_collect.of_sim ?activity:compiled.Gsim.activity compiled.Gsim.sim in
+        Designs.load_program sim core.Stu_core.h prog;
+        (* An exhausted cycle budget still yields valid coverage. *)
+        (try ignore (Designs.run_program ~max_cycles:job.SP.vj_cycles sim core.Stu_core.h)
+         with Failure _ -> ());
+        Cov_collect.db cov
+      end
+    in
+    print_cov ~json ~out db
   in
   let target =
     Arg.(required & pos 0 (some string) None
          & info [] ~docv:"DESIGN|FILE.fir" ~doc:"Built-in design name or design file")
   in
-  let workload = Arg.(value & pos 1 string "coremark" & info [] ~docv:"WORKLOAD") in
-  let cycles =
-    Arg.(value & opt int 100_000 & info [ "cycles"; "n" ] ~doc:"Cycle budget")
-  in
-  let pokes =
-    Arg.(value & opt_all string [] & info [ "poke"; "p" ] ~docv:"NAME=VAL" ~doc:"Drive an input")
-  in
-  let out =
-    Arg.(value & opt string "gsim.cov"
-         & info [ "o"; "output" ] ~docv:"FILE.cov" ~doc:"Coverage database (merged into if present)")
-  in
   Cmd.v
     (Cmd.info "collect" ~doc:"Run a design and collect coverage into a database file")
-    Term.(const run $ target $ workload $ engine_arg $ threads_arg $ level_arg $ supernode_arg
-          $ backend_arg $ cycles $ pokes $ out)
+    Term.(const run $ target $ workload_arg $ cov_job target $ cov_out_arg $ json_arg)
 
 let cov_merge_cmd =
-  let run out inputs =
-    match List.map Cov_db.load inputs with
-    | [] -> failwith "nothing to merge"
-    | first :: rest ->
-      let merged = List.fold_left Cov_db.merge first rest in
-      Cov_db.save out merged;
-      let s = Cov_db.summary merged in
-      Printf.printf "merged %d database(s): %d run(s), %d cycles, %.1f%% -> %s\n"
-        (List.length inputs) merged.Cov_db.runs merged.Cov_db.total_cycles
-        (Cov_db.total_percent s) out
-  in
-  let out =
-    Arg.(required & opt (some string) None
-         & info [ "o"; "output" ] ~docv:"FILE.cov" ~doc:"Merged output database")
-  in
-  let inputs =
-    Arg.(non_empty & pos_all file [] & info [] ~docv:"FILE.cov" ~doc:"Input databases")
-  in
-  Cmd.v
-    (Cmd.info "merge" ~doc:"Merge coverage databases from independent runs")
-    Term.(const run $ out $ inputs)
+  merge_cmd ~doc:"Merge coverage databases from independent runs" ~docv:"FILE.cov"
+    ~out_doc:"Merged output database" ~in_doc:"Input databases" ~load:Cov_db.load
+    ~merge:Cov_db.merge ~save:Cov_db.save ~summary:(fun n db out ->
+      Printf.sprintf "merged %d database(s): %d run(s), %d cycles, %.1f%% -> %s" n
+        db.Cov_db.runs db.Cov_db.total_cycles (Cov_db.total_percent (Cov_db.summary db)) out)
 
 let cov_report_cmd =
   let run file json uncovered =
@@ -764,96 +774,28 @@ let cov_cmd =
 (* --- fault --------------------------------------------------------------- *)
 
 let fault_campaign_cmd =
-  let run file engine threads level max_supernode backend horizon budget nfaults seed models
-      duration fault_keys pokes db_path resume stop_after latent golden_dir json =
-    let circuit = (load_source file).Compile.circuit in
-    let config = config_of_engine engine threads max_supernode level backend in
-    let cfg = { Campaign.horizon; budget } in
-    let models =
-      Option.map
-        (fun s ->
-          List.map
-            (function
-              | "seu" -> `Seu
-              | "stuck0" -> `Stuck0
-              | "stuck1" -> `Stuck1
-              | "word" -> `Word
-              | other ->
-                failwith
-                  (Printf.sprintf "unknown fault model %S (seu, stuck0, stuck1, word)" other))
-            (String.split_on_char ',' s))
-        models
-    in
-    let faults =
-      List.map Fault.of_key fault_keys
-      @ (if nfaults > 0 then Fault.random ?models ~duration ~seed ~count:nfaults ~horizon circuit
-         else [])
-    in
-    if faults = [] then failwith "no faults to inject: give --faults N and/or --fault KEY";
-    let const_pokes = parse_pokes circuit pokes in
-    let stimulus _cycle = const_pokes in
+  let run job db_path resume stop_after latent golden_dir json =
     (* The on-disk database is the crash-safety mechanism: records are
        appended (and flushed) as they are produced, so a killed campaign
        leaves a loadable prefix that --resume skips. *)
-    let partial =
-      if resume && Sys.file_exists db_path then Fault_db.load ~lenient:true db_path
-      else Fault_db.create ~design:(Circuit.name circuit) ~horizon ()
+    let start ~design ~horizon =
+      let partial =
+        if resume && Sys.file_exists db_path then Fault_db.load ~lenient:true db_path
+        else Fault_db.create ~design ~horizon ()
+      in
+      Fault_db.init_file db_path partial;
+      partial
     in
-    Fault_db.init_file db_path partial;
-    let skip k = Fault_db.mem partial k in
-    let total = List.length faults in
-    let progress d _ =
-      if not json then Printf.eprintf "\r[%d/%d]%!" (d + Fault_db.count partial) total
-    in
-    let fresh =
-      Campaign.run ~skip
-        ~on_record:(Fault_db.append_record db_path)
-        ~progress ?stop_after ~stimulus ?golden_dir cfg config circuit faults
+    let progress d total = if not json then Printf.eprintf "\r[%d/%d]%!" d total in
+    let db, total =
+      Worker.run_campaign_job ~start ~on_record:(Fault_db.append_record db_path) ~progress
+        ?stop_after ?golden_dir:(Option.map (fun dir _ _ -> dir) golden_dir) job
     in
     if not json then Printf.eprintf "\r%!";
-    let db = Fault_db.merge partial fresh in
     (* Canonical sorted rewrite: an interrupted-then-resumed campaign ends
        with a byte-identical database to an uninterrupted one. *)
     Fault_db.save db_path db;
-    if json then print_endline (Fault_report.to_json db)
-    else begin
-      print_string (Fault_report.to_string ~latent db);
-      Printf.printf "database: %s (%d of %d fault(s) done)\n" db_path (Fault_db.count db) total
-    end
-  in
-  let horizon =
-    Arg.(value & opt int Campaign.default_config.Campaign.horizon
-         & info [ "cycles"; "n" ] ~docv:"N" ~doc:"Golden-run horizon in cycles")
-  in
-  let budget =
-    Arg.(value & opt int Campaign.default_config.Campaign.budget
-         & info [ "budget" ] ~docv:"N" ~doc:"Observation window per fault (watchdog)")
-  in
-  let nfaults =
-    Arg.(value & opt int 0
-         & info [ "faults" ] ~docv:"N" ~doc:"Draw N random faults over the design's signals")
-  in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Random fault-list seed") in
-  let models =
-    Arg.(value & opt (some string) None
-         & info [ "models" ] ~docv:"M,M" ~doc:"Restrict random faults: seu, stuck0, stuck1, word")
-  in
-  let duration =
-    Arg.(value & opt int 1 & info [ "duration" ] ~doc:"Duration of random stuck/word faults")
-  in
-  let fault_keys =
-    Arg.(value & opt_all string []
-         & info [ "fault"; "f" ] ~docv:"KEY"
-             ~doc:"Inject a specific fault, e.g. cpu.pc#seu:3@120 (repeatable)")
-  in
-  let pokes =
-    Arg.(value & opt_all string []
-         & info [ "poke"; "p" ] ~docv:"NAME=VAL"
-             ~doc:"Drive an input every cycle (golden and faulty runs alike)")
-  in
-  let db_path =
-    Arg.(value & opt string "gsim.fdb"
-         & info [ "db"; "o" ] ~docv:"FILE.fdb" ~doc:"Campaign database (appended as faults finish)")
+    print_campaign ~json ~latent ~out:db_path ~total db
   in
   let resume =
     Arg.(value & flag
@@ -862,10 +804,6 @@ let fault_campaign_cmd =
   let stop_after =
     Arg.(value & opt (some int) None
          & info [ "stop-after" ] ~docv:"N" ~doc:"Classify at most N faults, then exit (sharding)")
-  in
-  let latent =
-    Arg.(value & opt int 0
-         & info [ "latent" ] ~docv:"N" ~doc:"List up to N latent faults in the text report")
   in
   let golden_dir =
     Arg.(value & opt (some string) None
@@ -877,31 +815,17 @@ let fault_campaign_cmd =
   Cmd.v
     (Cmd.info "campaign"
        ~doc:"Run a fault-injection campaign against a golden run of the design")
-    Term.(const run $ file_arg $ engine_arg $ threads_arg $ level_arg $ supernode_arg
-          $ backend_arg $ horizon $ budget $ nfaults $ seed $ models $ duration $ fault_keys
-          $ pokes $ db_path $ resume $ stop_after $ latent $ golden_dir $ json_arg)
+    Term.(const run $ campaign_job $ campaign_out_arg $ resume $ stop_after $ latent_arg
+          $ golden_dir $ json_arg)
 
 let fault_merge_cmd =
-  let run out inputs =
-    match List.map (fun p -> Fault_db.load p) inputs with
-    | [] -> failwith "nothing to merge"
-    | first :: rest ->
-      let merged = List.fold_left Fault_db.merge first rest in
-      Fault_db.save out merged;
-      let s = Fault_db.summary merged in
-      Printf.printf "merged %d shard(s): %d fault(s), %.1f%% coverage -> %s\n"
-        (List.length inputs) s.Fault_db.total (Fault_db.coverage_percent s) out
-  in
-  let out =
-    Arg.(required & opt (some string) None
-         & info [ "o"; "output" ] ~docv:"FILE.fdb" ~doc:"Merged output database")
-  in
-  let inputs =
-    Arg.(non_empty & pos_all file [] & info [] ~docv:"FILE.fdb" ~doc:"Shard databases")
-  in
-  Cmd.v
-    (Cmd.info "merge" ~doc:"Merge fault-campaign shards over disjoint fault lists")
-    Term.(const run $ out $ inputs)
+  merge_cmd ~doc:"Merge fault-campaign shards over disjoint fault lists" ~docv:"FILE.fdb"
+    ~out_doc:"Merged output database" ~in_doc:"Shard databases"
+    ~load:(fun p -> Fault_db.load p) ~merge:Fault_db.merge ~save:Fault_db.save
+    ~summary:(fun n db out ->
+      let s = Fault_db.summary db in
+      Printf.sprintf "merged %d shard(s): %d fault(s), %.1f%% coverage -> %s" n
+        s.Fault_db.total (Fault_db.coverage_percent s) out)
 
 let fault_report_cmd =
   let run file json latent per_fault =
@@ -943,60 +867,26 @@ let fuzz_inject_arg =
                  miscompile; the campaign must catch, shrink and bisect it")
 
 let fuzz_run_cmd =
-  let run dir seed cases from seconds cycles setups watchdog shrink_checks
-      resume inject fail_on_find json =
-    let setups =
-      match setups with
-      | None -> Fuzz.default_setups
-      | Some s ->
-        List.map Fuzz.setup_of_name (String.split_on_char ',' s)
-    in
+  let run job dir seconds watchdog shrink_budget resume inject fail_on_find json =
     let campaign =
-      { Fuzz.default_campaign with
-        Fuzz.seed;
-        cases;
-        start_case = from;
-        seconds;
-        cycles;
-        setups;
+      { (Worker.fuzz_campaign ~dir job) with
+        Fuzz.seconds;
         watchdog;
-        shrink_budget = shrink_checks;
-        dir;
+        shrink_budget;
         inject_miscompile = inject }
     in
-    let result = Fuzz.run ~resume ~log:print_endline campaign in
-    if json then print_endline (Fuzz.report_json result.Fuzz.db)
-    else begin
-      print_string (Fuzz.report_text result.Fuzz.db);
-      Printf.printf "this run: %d case(s) executed, %d skipped%s\n"
-        result.Fuzz.ran result.Fuzz.skipped
-        (if result.Fuzz.out_of_time then " (time budget reached)" else "")
-    end;
+    let result = Fuzz.run ~resume ~log:(notice ~json) campaign in
+    print_fuzz ~json
+      ~tail:(fun () ->
+        Printf.printf "this run: %d case(s) executed, %d skipped%s\n" result.Fuzz.ran
+          result.Fuzz.skipped
+          (if result.Fuzz.out_of_time then " (time budget reached)" else ""))
+      result.Fuzz.db;
     if fail_on_find && Fuzz_corpus.failures result.Fuzz.db <> [] then exit 1
-  in
-  let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Campaign seed; same seed, same cases and repro buckets") in
-  let cases =
-    Arg.(value & opt int 200
-         & info [ "cases"; "n" ] ~docv:"N" ~doc:"Number of case indices to explore")
-  in
-  let from =
-    Arg.(value & opt int 0
-         & info [ "from" ] ~docv:"I" ~doc:"First case index (sharding: disjoint ranges, then fuzz merge)")
   in
   let seconds =
     Arg.(value & opt (some float) None
          & info [ "seconds" ] ~docv:"S" ~doc:"Wall-clock budget; stop early when exceeded")
-  in
-  let cycles =
-    Arg.(value & opt int Fuzz.default_campaign.Fuzz.cycles
-         & info [ "cycles" ] ~docv:"N" ~doc:"Stimulus length per case")
-  in
-  let setups =
-    Arg.(value & opt (some string) None
-         & info [ "setups" ] ~docv:"S,S"
-             ~doc:"Comma-separated engine+backend subjects (e.g. gsim+closures,gsim+native); \
-                   default: all four presets on closures, plus verilator and gsim \
-                   on native when a C compiler is available")
   in
   let watchdog =
     Arg.(value & opt float Fuzz.default_campaign.Fuzz.watchdog
@@ -1016,9 +906,8 @@ let fuzz_run_cmd =
   Cmd.v
     (Cmd.info "run"
        ~doc:"Run a differential fuzz campaign over the engine/backend matrix")
-    Term.(const run $ fuzz_dir_arg $ seed $ cases $ from $ seconds $ cycles
-          $ setups $ watchdog $ shrink_checks $ resume $ fuzz_inject_arg
-          $ fail_on_find $ json_arg)
+    Term.(const run $ fuzz_job $ fuzz_dir_arg $ seconds $ watchdog $ shrink_checks $ resume
+          $ fuzz_inject_arg $ fail_on_find $ json_arg)
 
 let fuzz_replay_cmd =
   let run file inject watchdog =
@@ -1052,9 +941,7 @@ let fuzz_report_cmd =
     let path =
       if Sys.is_directory path then Filename.concat path "fuzz.db" else path
     in
-    let db = Fuzz_corpus.load ~lenient:true path in
-    if json then print_endline (Fuzz.report_json db)
-    else print_string (Fuzz.report_text db)
+    print_fuzz ~json (Fuzz_corpus.load ~lenient:true path)
   in
   let path =
     Arg.(required & pos 0 (some file) None
@@ -1065,26 +952,12 @@ let fuzz_report_cmd =
     Term.(const run $ path $ json_arg)
 
 let fuzz_merge_cmd =
-  let run out inputs =
-    match List.map (fun p -> Fuzz_corpus.load p) inputs with
-    | [] -> failwith "nothing to merge"
-    | first :: rest ->
-      let merged = List.fold_left Fuzz_corpus.merge first rest in
-      Fuzz_corpus.save out merged;
-      Printf.printf "merged %d shard(s): %d case(s), %d failing -> %s\n"
-        (List.length inputs) (Fuzz_corpus.count merged)
-        (List.length (Fuzz_corpus.failures merged)) out
-  in
-  let out =
-    Arg.(required & opt (some string) None
-         & info [ "o"; "output" ] ~docv:"FUZZ.DB" ~doc:"Merged output corpus")
-  in
-  let inputs =
-    Arg.(non_empty & pos_all file [] & info [] ~docv:"FUZZ.DB" ~doc:"Shard corpora (same seed, disjoint case ranges)")
-  in
-  Cmd.v
-    (Cmd.info "merge" ~doc:"Merge fuzz-campaign shards over disjoint case ranges")
-    Term.(const run $ out $ inputs)
+  merge_cmd ~doc:"Merge fuzz-campaign shards over disjoint case ranges" ~docv:"FUZZ.DB"
+    ~out_doc:"Merged output corpus" ~in_doc:"Shard corpora (same seed, disjoint case ranges)"
+    ~load:(fun p -> Fuzz_corpus.load p) ~merge:Fuzz_corpus.merge ~save:Fuzz_corpus.save
+    ~summary:(fun n db out ->
+      Printf.sprintf "merged %d shard(s): %d case(s), %d failing -> %s" n
+        (Fuzz_corpus.count db) (List.length (Fuzz_corpus.failures db)) out)
 
 let fuzz_cmd =
   Cmd.group
@@ -1097,67 +970,51 @@ let fuzz_cmd =
 
 let equiv_cmd =
   let run file_a file_b cycles seed =
-    let ca = (load_source file_a).Compile.circuit in
-    let cb = (load_source file_b).Compile.circuit in
+    let ca = (Compile.source_of_file file_a).Compile.circuit in
+    let cb = (Compile.source_of_file file_b).Compile.circuit in
     (* Interfaces must match by name. *)
-    let names c =
-      List.map (fun (n : Circuit.node) -> (n.Circuit.name, n.Circuit.width)) (Circuit.inputs c)
-      |> List.sort compare
+    let ports nodes =
+      List.sort compare
+        (List.map (fun (n : Circuit.node) -> (n.Circuit.name, n.Circuit.width)) nodes)
     in
-    if names ca <> names cb then failwith "designs have different input interfaces";
-    let common_observed =
-      let of_c c =
-        Circuit.fold_nodes c ~init:[] ~f:(fun acc n ->
-            if n.Circuit.is_output then (n.Circuit.name, n.Circuit.width) :: acc else acc)
-        |> List.sort compare
-      in
-      let a = of_c ca and b = of_c cb in
-      List.filter (fun x -> List.mem x b) a
-    in
+    let inputs = ports (Circuit.inputs ca) in
+    if inputs <> ports (Circuit.inputs cb) then failwith "designs have different input interfaces";
+    let outputs_b = ports (Circuit.outputs cb) in
+    let common_observed = List.filter (fun x -> List.mem x outputs_b) (ports (Circuit.outputs ca)) in
     if common_observed = [] then failwith "no common outputs to compare";
     let st = Random.State.make [| seed |] in
     let stimulus =
       Array.init cycles (fun _ ->
-          List.map
-            (fun (name, w) -> (name, Bits.random st ~width:w))
-            (names ca))
+          List.map (fun (name, w) -> (name, Bits.random st ~width:w)) inputs)
     in
     let trace c =
       let compiled = Gsim.instantiate Gsim.gsim c in
-      let sim = compiled.Gsim.sim in
       let id name = (Option.get (Circuit.find_node c name)).Circuit.id in
       let out =
-        Array.map
-          (fun pokes ->
-            List.iter (fun (name, v) -> sim.Sim.poke (id name) v) pokes;
-            sim.Sim.step ();
-            List.map (fun (name, _) -> sim.Sim.peek (id name)) common_observed)
-          stimulus
+        Sim.trace compiled.Gsim.sim
+          ~observe:(List.map (fun (name, _) -> id name) common_observed)
+          ~stimulus:(Array.map (List.map (fun (name, v) -> (id name, v))) stimulus)
       in
       compiled.Gsim.destroy ();
       out
     in
     let ta = trace ca and tb = trace cb in
-    let diverged = ref None in
-    Array.iteri
-      (fun i row ->
-        if !diverged = None && not (List.equal Bits.equal row tb.(i)) then diverged := Some i)
-      ta;
-    (match !diverged with
+    let same i = List.equal Bits.equal ta.(i) tb.(i) in
+    (match Seq.find (fun i -> not (same i)) (Seq.init cycles Fun.id) with
      | None ->
        Printf.printf "EQUIVALENT over %d random cycles on %d shared outputs (%s)\n" cycles
          (List.length common_observed)
          (String.concat ", " (List.map fst common_observed))
      | Some cycle ->
        Printf.printf "DIVERGED at cycle %d:\n" cycle;
-       List.iteri
-         (fun k (name, _) ->
-           let va = List.nth ta.(cycle) k and vb = List.nth tb.(cycle) k in
+       List.iter2
+         (fun (name, _) (va, vb) ->
            if not (Bits.equal va vb) then
              Printf.printf "  %-20s %s vs %s\n" name
                (Format.asprintf "%a" Bits.pp va)
                (Format.asprintf "%a" Bits.pp vb))
-         common_observed;
+         common_observed
+         (List.combine ta.(cycle) tb.(cycle));
        exit 1)
   in
   let file_a = Arg.(required & pos 0 (some file) None & info [] ~docv:"A.fir|A.v") in
@@ -1173,23 +1030,8 @@ let equiv_cmd =
 
 let profile_cmd =
   let run design workload level max_supernode cycles top =
-    let d =
-      match Designs.by_name design with
-      | Some d -> d
-      | None -> failwith (Printf.sprintf "unknown design %S" design)
-    in
-    let prog =
-      match Programs.by_name workload with
-      | Some mk -> mk ()
-      | None -> failwith (Printf.sprintf "unknown workload %S" workload)
-    in
-    let core = d.Designs.build () in
-    let level =
-      match Option.map Pipeline.level_of_string level with
-      | Some (Some l) -> l
-      | Some None -> failwith "unknown optimization level"
-      | None -> Pipeline.O3
-    in
+    let core, prog = builtin design workload in
+    let level = Option.fold ~none:Pipeline.O3 ~some:level_of_string level in
     ignore (Pipeline.optimize ~level core.Stu_core.circuit);
     let part = Gsim_partition.Partition.gsim core.Stu_core.circuit ~max_size:max_supernode in
     let engine = Gsim_engine.Activity.create core.Stu_core.circuit part in
@@ -1199,68 +1041,25 @@ let profile_cmd =
     let report = Gsim_engine.Profile.analyze ~top core.Stu_core.circuit part engine in
     Format.printf "%a" Gsim_engine.Profile.pp report
   in
-  let design =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"DESIGN")
-  in
-  let workload = Arg.(value & pos 1 string "coremark" & info [] ~docv:"WORKLOAD") in
   let cycles = Arg.(value & opt int 5000 & info [ "cycles"; "n" ]) in
   let top = Arg.(value & opt int 20 & info [ "top" ] ~doc:"Entries to show") in
   Cmd.v
     (Cmd.info "profile" ~doc:"Report the hottest supernodes for a design/workload pair")
-    Term.(const run $ design $ workload $ level_arg $ supernode_arg $ cycles $ top)
+    Term.(const run $ design_arg $ workload_arg $ level_arg $ supernode_arg $ cycles $ top)
 
 (* --- serve / remote ------------------------------------------------------ *)
-
-module SP = Server_protocol
-
-let read_text_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
 
 let to_arg =
   Arg.(value & opt string "gsimd.sock"
        & info [ "to" ] ~docv:"ADDR"
            ~doc:"Server address: a Unix socket path, or host:port for TCP")
 
-let priority_arg default =
-  Arg.(value & opt string default
-       & info [ "priority" ] ~docv:"P"
-           ~doc:"Scheduling class: interactive (preempts batch work) or batch")
-
-let engine_opts_of engine threads level max_supernode backend =
-  (* Validate locally so a typo fails before the job ships. *)
-  ignore (config_of_engine engine threads max_supernode level backend);
-  { SP.eo_engine = engine; eo_backend = backend; eo_level = level;
-    eo_max_supernode = max_supernode; eo_threads = threads }
-
-let remote_call ?(timeout = 0.) ?(retries = 0) ?token address request =
-  (* Auto-mint an idempotency token whenever retries could resubmit a
-     job-bearing request, so a retry after a torn response can never run
-     the job twice. *)
-  let token =
-    match (token, request) with
-    | (Some tok, _) when tok <> "" -> Some tok
-    | _, (SP.Status | SP.Shutdown) -> None
-    | _ when retries > 0 ->
-      Some (Printf.sprintf "cli-%d-%.6f" (Unix.getpid ()) (Unix.gettimeofday ()))
-    | _ -> None
-  in
-  try Server_client.call_robust ~timeout ~retries ?token (SP.address_of_string address) request
+(* One request to the daemon; connection failures and error responses
+   become one-line failures. *)
+let call ?(timeout = 0.) ?(retries = 0) ?token address request =
+  match
+    Server_client.call_robust ~timeout ~retries ?token (SP.address_of_string address) request
   with
-  | Server_client.Timeout _ ->
-    failwith
-      (Printf.sprintf
-         "no response from gsimd at %s within %gs — raise --timeout, check 'gsim remote \
-          status', or restart the daemon"
-         address timeout)
-  | Unix.Unix_error (e, _, _) ->
-    failwith
-      (Printf.sprintf "cannot reach gsimd at %s: %s (is the daemon running?)" address
-         (Unix.error_message e))
-
-let check_error = function
   | SP.Error_resp e ->
     let attempts =
       if e.SP.ei_attempts > 1 then Printf.sprintf " (after %d attempts)" e.SP.ei_attempts
@@ -1276,37 +1075,21 @@ let check_error = function
          (SP.error_code_to_string e.SP.ei_code)
          e.SP.ei_message attempts retry_hint)
   | r -> r
+  | exception Server_client.Timeout _ ->
+    failwith
+      (Printf.sprintf
+         "no response from gsimd at %s within %gs — raise --timeout, check 'gsim remote \
+          status', or restart the daemon"
+         address timeout)
+  | exception Unix.Unix_error (e, _, _) ->
+    failwith
+      (Printf.sprintf "cannot reach gsimd at %s: %s (is the daemon running?)" address
+         (Unix.error_message e))
 
 let timeout_arg =
   Arg.(value & opt float 0.
        & info [ "timeout" ] ~docv:"SECONDS"
            ~doc:"Give up on a connect or response after this long (0 waits forever)")
-
-let retries_arg =
-  Arg.(value & opt int 2
-       & info [ "retries" ] ~docv:"N"
-           ~doc:"Reconnect and resubmit up to N times on timeouts and torn connections; \
-                 resubmissions carry an idempotency token so the job never runs twice")
-
-let token_arg =
-  Arg.(value & opt string ""
-       & info [ "token" ] ~docv:"TOKEN"
-           ~doc:"Idempotency token for resubmission (default: auto-generated when \
-                 --retries > 0)")
-
-let tenant_arg =
-  Arg.(value & opt string ""
-       & info [ "tenant" ] ~docv:"NAME"
-           ~doc:"Tenant id for fair scheduling, quotas and per-tenant accounting \
-                 (default: a per-connection id assigned by the server)")
-
-let deadline_arg =
-  Arg.(value & opt float 0.
-       & info [ "deadline" ] ~docv:"SECONDS"
-           ~doc:"End-to-end deadline: the server stops working on the job this long \
-                 after admitting it and answers deadline-exceeded (0 = none)")
-
-let tenant_of s = if s = "" then None else Some s
 
 let json_escape s =
   let b = Buffer.create (String.length s) in
@@ -1363,16 +1146,9 @@ let serve_cmd =
   let run listen workers queue cache stride spool logfile chaos hang_timeout max_retries
       budget high_water backlog_seconds tenant_quota spool_quota =
     let address = SP.address_of_string listen in
-    let chaos =
-      match Gsim_server.Chaos.spec_of_string chaos with
-      | spec -> spec
-      | exception Failure msg -> raise (Usage msg)
-    in
-    let budgets =
-      match Gsim_server.Admission.budgets_of_string budget with
-      | b -> b
-      | exception Failure msg -> raise (Usage msg)
-    in
+    let usage_error parse x = try parse x with Failure msg -> raise (Usage msg) in
+    let chaos = usage_error Gsim_server.Chaos.spec_of_string chaos in
+    let budgets = usage_error Gsim_server.Admission.budgets_of_string budget in
     let log, close_log =
       match logfile with
       | Some path ->
@@ -1495,161 +1271,110 @@ let serve_cmd =
           $ hang_timeout $ max_retries $ budget $ high_water $ backlog_seconds
           $ tenant_quota $ spool_quota)
 
-let remote_sim_cmd =
-  let run to_ file engine threads level max_supernode backend cycles pokes priority json
-      timeout retries token tenant deadline =
-    let job =
-      {
-        SP.sj_filename = Filename.basename file;
-        sj_design = read_text_file file;
-        sj_opts = engine_opts_of engine threads level max_supernode backend;
-        sj_cycles = cycles;
-        sj_pokes = pokes;
-        sj_token = None;
-        sj_tenant = tenant_of tenant;
-        sj_deadline = deadline;
-      }
+(* Where and how a job is shipped: the one term every `gsim remote` job
+   command adds to its job spec.  [priority] defaults per job kind. *)
+(* `gsim remote X` is X's job spec plus this term: where and how the job
+   ships.  It yields [ship request]: [request] builds the job from the
+   chosen priority, tenant and deadline, and [ship] sends it and returns
+   the checked response. *)
+let transport priority =
+  let ship address priority timeout retries token tenant deadline request =
+    (* Auto-mint an idempotency token whenever retries could resubmit the
+       job, so a retry after a torn response can never run it twice. *)
+    let token =
+      if token <> "" then Some token
+      else if retries > 0 then
+        Some (Printf.sprintf "cli-%d-%.6f" (Unix.getpid ()) (Unix.gettimeofday ()))
+      else None
     in
-    let req = SP.Sim (SP.priority_of_string priority, job) in
-    match check_error (remote_call ~timeout ~retries ~token to_ req) with
-    | SP.Sim_done r ->
-      if json then begin
-        let outputs =
-          r.SP.sr_outputs
-          |> List.map (fun (n, v) -> Printf.sprintf "\"%s\":\"%s\"" n v)
-          |> String.concat ","
-        in
-        Printf.printf
-          "{\"engine\":\"%s\",\"cycles\":%d,\"outputs\":{%s},\"cache_hit\":%b,\"compile_seconds\":%.6f,\"preemptions\":%d}\n"
-          r.SP.sr_engine r.SP.sr_cycles outputs r.SP.sr_cache_hit r.SP.sr_compile_seconds
-          r.SP.sr_preemptions
-      end
-      else begin
-        if r.SP.sr_halted then Printf.printf "$halt asserted at cycle %d\n" r.SP.sr_cycles;
-        Printf.printf "ran %d cycles on %s (remote%s)\n" r.SP.sr_cycles r.SP.sr_engine
-          (if r.SP.sr_cache_hit then ", plan cache hit" else "");
-        List.iter (fun (n, v) -> Printf.printf "  %-24s = %s\n" n v) r.SP.sr_outputs;
-        if r.SP.sr_preemptions > 0 then
-          Printf.printf "preempted %d time(s); resumed from checkpoint\n" r.SP.sr_preemptions
-      end
-    | _ -> failwith "unexpected response to sim request"
+    let tenant = if tenant = "" then None else Some tenant in
+    call ~timeout ~retries ?token address
+      (request (SP.priority_of_string priority) tenant deadline)
   in
-  let cycles = Arg.(value & opt int 100 & info [ "cycles"; "n" ] ~doc:"Cycles to run") in
-  let pokes =
-    Arg.(value & opt_all string [] & info [ "poke"; "p" ] ~docv:"NAME=VAL" ~doc:"Drive an input")
+  let priority =
+    Arg.(value & opt string priority
+         & info [ "priority" ] ~docv:"P"
+             ~doc:"Scheduling class: interactive (preempts batch work) or batch")
+  in
+  let retries =
+    Arg.(value & opt int 2
+         & info [ "retries" ] ~docv:"N"
+             ~doc:"Reconnect and resubmit up to N times on timeouts and torn connections; \
+                   resubmissions carry an idempotency token so the job never runs twice")
+  in
+  let token =
+    Arg.(value & opt string ""
+         & info [ "token" ] ~docv:"TOKEN"
+             ~doc:"Idempotency token for resubmission (default: auto-generated when \
+                   --retries > 0)")
+  in
+  let tenant =
+    Arg.(value & opt string ""
+         & info [ "tenant" ] ~docv:"NAME"
+             ~doc:"Tenant id for fair scheduling, quotas and per-tenant accounting \
+                   (default: a per-connection id assigned by the server)")
+  in
+  let deadline =
+    Arg.(value & opt float 0.
+         & info [ "deadline" ] ~docv:"SECONDS"
+             ~doc:"End-to-end deadline: the server stops working on the job this long \
+                   after admitting it and answers deadline-exceeded (0 = none)")
+  in
+  Term.(const ship $ to_arg $ priority $ timeout_arg $ retries $ token $ tenant $ deadline)
+
+(* A remote database result: the database and the report on it are the
+   local command's; the server's cache verdict and time come on top. *)
+let remote_db response k =
+  match response with
+  | SP.Db_done r ->
+    k r ~fields:(Printf.sprintf ",\"cache_hit\":%b" r.SP.dr_cache_hit)
+      ~tail:(fun () ->
+        Printf.printf "remote: %s in %.3fs server-side%s\n" r.SP.dr_summary r.SP.dr_seconds
+          (if r.SP.dr_cache_hit then ", golden/plan cache hit" else ""))
+  | _ -> failwith "unexpected response to job request"
+
+let remote_sim_cmd =
+  let run ship (job : SP.sim_job) json =
+    match ship (fun p sj_tenant sj_deadline -> SP.Sim (p, { job with sj_tenant; sj_deadline })) with
+    | SP.Sim_done r ->
+      print_sim ~json
+        ~where:(if r.SP.sr_cache_hit then " (remote, plan cache hit)" else " (remote)")
+        ~fields:
+          (Printf.sprintf ",\"cache_hit\":%b,\"compile_seconds\":%.6f,\"preemptions\":%d"
+             r.SP.sr_cache_hit r.SP.sr_compile_seconds r.SP.sr_preemptions)
+        ~tail:(fun () ->
+          if r.SP.sr_preemptions > 0 then
+            Printf.printf "preempted %d time(s); resumed from checkpoint\n"
+              r.SP.sr_preemptions)
+        r
+    | _ -> failwith "unexpected response to sim request"
   in
   Cmd.v
     (Cmd.info "sim" ~doc:"Run a simulation job on a gsimd server")
-    Term.(const run $ to_arg $ file_arg $ engine_arg $ threads_arg $ level_arg
-          $ supernode_arg $ backend_arg $ cycles $ pokes $ priority_arg "interactive"
-          $ json_arg $ timeout_arg $ retries_arg $ token_arg $ tenant_arg $ deadline_arg)
-
-let save_db_result ~out (r : SP.db_result) json =
-  Gsim_resilience.Store.write_atomic out r.SP.dr_text;
-  if json then
-    Printf.printf
-      "{\"kind\":\"%s\",\"summary\":\"%s\",\"database\":\"%s\",\"cache_hit\":%b,\"seconds\":%.3f}\n"
-      r.SP.dr_kind (json_escape r.SP.dr_summary) (json_escape out) r.SP.dr_cache_hit
-      r.SP.dr_seconds
-  else begin
-    Printf.printf "%s (%.3fs server-side%s)\n" r.SP.dr_summary r.SP.dr_seconds
-      (if r.SP.dr_cache_hit then ", golden/plan cache hit" else "");
-    Printf.printf "database: %s\n" out
-  end
+    Term.(const run $ transport "interactive" $ sim_job $ json_arg)
 
 let remote_campaign_cmd =
-  let run to_ file engine threads level max_supernode backend horizon budget nfaults seed
-      models duration fault_keys pokes out priority json timeout retries token tenant
-      deadline =
-    let job =
-      {
-        SP.cj_filename = Filename.basename file;
-        cj_design = read_text_file file;
-        cj_opts = engine_opts_of engine threads level max_supernode backend;
-        cj_horizon = horizon;
-        cj_budget = budget;
-        cj_faults = fault_keys;
-        cj_random = nfaults;
-        cj_seed = seed;
-        cj_duration = duration;
-        cj_models = models;
-        cj_pokes = pokes;
-        cj_token = None;
-        cj_tenant = tenant_of tenant;
-        cj_deadline = deadline;
-      }
-    in
-    let req = SP.Campaign (SP.priority_of_string priority, job) in
-    match check_error (remote_call ~timeout ~retries ~token to_ req) with
-    | SP.Db_done r -> save_db_result ~out r json
-    | _ -> failwith "unexpected response to campaign request"
-  in
-  let horizon =
-    Arg.(value & opt int Campaign.default_config.Campaign.horizon
-         & info [ "cycles"; "n" ] ~docv:"N" ~doc:"Golden-run horizon in cycles")
-  in
-  let budget =
-    Arg.(value & opt int Campaign.default_config.Campaign.budget
-         & info [ "budget" ] ~docv:"N" ~doc:"Observation window per fault (watchdog)")
-  in
-  let nfaults =
-    Arg.(value & opt int 0
-         & info [ "faults" ] ~docv:"N" ~doc:"Draw N random faults over the design's signals")
-  in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Random fault-list seed") in
-  let models =
-    Arg.(value & opt (some string) None
-         & info [ "models" ] ~docv:"M,M" ~doc:"Restrict random faults: seu, stuck0, stuck1, word")
-  in
-  let duration =
-    Arg.(value & opt int 1 & info [ "duration" ] ~doc:"Duration of random stuck/word faults")
-  in
-  let fault_keys =
-    Arg.(value & opt_all string []
-         & info [ "fault"; "f" ] ~docv:"KEY" ~doc:"Inject a specific fault (repeatable)")
-  in
-  let pokes =
-    Arg.(value & opt_all string []
-         & info [ "poke"; "p" ] ~docv:"NAME=VAL" ~doc:"Drive an input every cycle")
-  in
-  let out =
-    Arg.(value & opt string "gsim.fdb"
-         & info [ "o"; "output" ] ~docv:"FILE.fdb" ~doc:"Where to write the returned shard database")
+  let run ship (job : SP.campaign_job) out latent json =
+    remote_db
+      (ship (fun p cj_tenant cj_deadline -> SP.Campaign (p, { job with cj_tenant; cj_deadline })))
+    @@ fun r ~fields ~tail ->
+    Gsim_resilience.Store.write_atomic out r.SP.dr_text;
+    let db = Fault_db.of_string r.SP.dr_text in
+    print_campaign ~json ~latent ~out ~total:(Fault_db.count db) ~fields ~tail db
   in
   Cmd.v
     (Cmd.info "campaign" ~doc:"Run a fault-campaign shard on a gsimd server")
-    Term.(const run $ to_arg $ file_arg $ engine_arg $ threads_arg $ level_arg
-          $ supernode_arg $ backend_arg $ horizon $ budget $ nfaults $ seed $ models
-          $ duration $ fault_keys $ pokes $ out $ priority_arg "batch" $ json_arg
-          $ timeout_arg $ retries_arg $ token_arg $ tenant_arg $ deadline_arg)
+    Term.(const run $ transport "batch" $ campaign_job $ campaign_out_arg $ latent_arg
+          $ json_arg)
 
 let remote_fuzz_cmd =
-  let run to_ seed cases from cycles setups out priority json timeout retries token tenant
-      deadline =
-    let job = { SP.fj_seed = seed; fj_cases = cases; fj_from = from; fj_cycles = cycles;
-                fj_setups = setups; fj_token = None; fj_tenant = tenant_of tenant;
-                fj_deadline = deadline }
-    in
-    let req = SP.Fuzz (SP.priority_of_string priority, job) in
-    match check_error (remote_call ~timeout ~retries ~token to_ req) with
-    | SP.Db_done r -> save_db_result ~out r json
-    | _ -> failwith "unexpected response to fuzz request"
-  in
-  let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Campaign seed") in
-  let cases =
-    Arg.(value & opt int 50 & info [ "cases"; "n" ] ~docv:"N" ~doc:"Case indices to explore")
-  in
-  let from =
-    Arg.(value & opt int 0
-         & info [ "from" ] ~docv:"I" ~doc:"First case index (disjoint shards merge with 'gsim fuzz merge')")
-  in
-  let cycles =
-    Arg.(value & opt int Fuzz.default_campaign.Fuzz.cycles
-         & info [ "cycles" ] ~docv:"N" ~doc:"Stimulus length per case")
-  in
-  let setups =
-    Arg.(value & opt (some string) None
-         & info [ "setups" ] ~docv:"S,S" ~doc:"Engine+backend subjects (default: all)")
+  let run ship (job : SP.fuzz_job) out json =
+    remote_db (ship (fun p fj_tenant fj_deadline -> SP.Fuzz (p, { job with fj_tenant; fj_deadline })))
+    @@ fun r ~fields ~tail ->
+    Gsim_resilience.Store.write_atomic out r.SP.dr_text;
+    print_fuzz ~json ~fields
+      ~tail:(fun () -> tail (); Printf.printf "database: %s\n" out)
+      (Fuzz_corpus.of_string r.SP.dr_text)
   in
   let out =
     Arg.(value & opt string "fuzz-remote.db"
@@ -1657,47 +1382,22 @@ let remote_fuzz_cmd =
   in
   Cmd.v
     (Cmd.info "fuzz" ~doc:"Run a differential-fuzz shard on a gsimd server")
-    Term.(const run $ to_arg $ seed $ cases $ from $ cycles $ setups $ out
-          $ priority_arg "batch" $ json_arg $ timeout_arg $ retries_arg $ token_arg
-          $ tenant_arg $ deadline_arg)
+    Term.(const run $ transport "batch" $ fuzz_job $ out $ json_arg)
 
 let remote_cov_cmd =
-  let run to_ file engine threads level max_supernode backend cycles pokes out priority
-      json timeout retries token tenant deadline =
-    let job =
-      {
-        SP.vj_filename = Filename.basename file;
-        vj_design = read_text_file file;
-        vj_opts = engine_opts_of engine threads level max_supernode backend;
-        vj_cycles = cycles;
-        vj_pokes = pokes;
-        vj_token = None;
-        vj_tenant = tenant_of tenant;
-        vj_deadline = deadline;
-      }
-    in
-    let req = SP.Coverage (SP.priority_of_string priority, job) in
-    match check_error (remote_call ~timeout ~retries ~token to_ req) with
-    | SP.Db_done r -> save_db_result ~out r json
-    | _ -> failwith "unexpected response to coverage request"
-  in
-  let cycles = Arg.(value & opt int 100 & info [ "cycles"; "n" ] ~doc:"Cycles to run") in
-  let pokes =
-    Arg.(value & opt_all string [] & info [ "poke"; "p" ] ~docv:"NAME=VAL" ~doc:"Drive an input")
-  in
-  let out =
-    Arg.(value & opt string "gsim.cov"
-         & info [ "o"; "output" ] ~docv:"FILE.cov" ~doc:"Where to write the returned coverage database")
+  let run ship (job : SP.cov_job) out json =
+    remote_db
+      (ship (fun p vj_tenant vj_deadline -> SP.Coverage (p, { job with vj_tenant; vj_deadline })))
+    @@ fun r ~fields ~tail ->
+    print_cov ~json ~out ~fields ~tail (Cov_db.of_string r.SP.dr_text)
   in
   Cmd.v
     (Cmd.info "cov" ~doc:"Run a coverage-collection job on a gsimd server")
-    Term.(const run $ to_arg $ file_arg $ engine_arg $ threads_arg $ level_arg
-          $ supernode_arg $ backend_arg $ cycles $ pokes $ out $ priority_arg "interactive"
-          $ json_arg $ timeout_arg $ retries_arg $ token_arg $ tenant_arg $ deadline_arg)
+    Term.(const run $ transport "interactive" $ cov_job file_arg $ cov_out_arg $ json_arg)
 
 let remote_status_cmd =
   let run to_ json timeout =
-    match check_error (remote_call ~timeout to_ SP.Status) with
+    match call ~timeout to_ SP.Status with
     | SP.Status_ok s ->
       (* Checked here, from the rows themselves, so a daemon whose
          counters drift is caught by any client. *)
@@ -1777,7 +1477,7 @@ let remote_status_cmd =
 
 let remote_shutdown_cmd =
   let run to_ timeout =
-    match check_error (remote_call ~timeout to_ SP.Shutdown) with
+    match call ~timeout to_ SP.Shutdown with
     | SP.Shutting_down -> print_endline "server draining: queued jobs will finish, then it exits"
     | _ -> failwith "unexpected response to shutdown request"
   in

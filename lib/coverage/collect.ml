@@ -282,3 +282,8 @@ let of_activity ?observe ?name engine =
     }
   in
   (t, wrapped)
+
+let of_sim ?activity sim =
+  match activity with
+  | Some engine -> of_activity ~name:sim.Sim.sim_name engine
+  | None -> create sim

@@ -38,6 +38,11 @@ val of_activity :
     additionally tracks pokes, checkpoint restores ([write_reg]) and
     [invalidate] so no value change escapes sampling. *)
 
+val of_sim :
+  ?activity:Gsim_engine.Activity.t -> Gsim_engine.Sim.t -> t * Gsim_engine.Sim.t
+(** {!of_activity} on [activity] when the engine exposes one (keeping
+    the simulator's name), otherwise {!create} on the simulator. *)
+
 val db : t -> Db.t
 (** The live database — updated in place as the wrapped simulator steps;
     read (or save) it at any point. *)

@@ -11,6 +11,17 @@
 module Bits = Gsim_bits.Bits
 open Gsim_ir
 
+(** Sense-reversing centralized barrier over [total] participants,
+    shared with {!Repcut}.  Each participant keeps its own sense flag and
+    flips it before every [wait]; latecomers spin briefly and then block
+    on a condition variable. *)
+module Barrier : sig
+  type t
+
+  val create : int -> t
+  val wait : t -> bool -> unit
+end
+
 type t
 
 val create :

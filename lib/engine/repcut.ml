@@ -1,48 +1,7 @@
 module Bits = Gsim_bits.Bits
 open Gsim_ir
 
-(* The barrier is shared with the level-synchronous engine. *)
-module Barrier = struct
-  type t = {
-    count : int Atomic.t;
-    sense : bool Atomic.t;
-    total : int;
-    lock : Mutex.t;
-    cond : Condition.t;
-  }
-
-  let create total =
-    {
-      count = Atomic.make 0;
-      sense = Atomic.make false;
-      total;
-      lock = Mutex.create ();
-      cond = Condition.create ();
-    }
-
-  let wait b local_sense =
-    if Atomic.fetch_and_add b.count 1 = b.total - 1 then begin
-      Atomic.set b.count 0;
-      Mutex.lock b.lock;
-      Atomic.set b.sense local_sense;
-      Condition.broadcast b.cond;
-      Mutex.unlock b.lock
-    end
-    else begin
-      let spins = ref 0 in
-      while Atomic.get b.sense <> local_sense && !spins < 2000 do
-        incr spins;
-        Domain.cpu_relax ()
-      done;
-      if Atomic.get b.sense <> local_sense then begin
-        Mutex.lock b.lock;
-        while Atomic.get b.sense <> local_sense do
-          Condition.wait b.cond b.lock
-        done;
-        Mutex.unlock b.lock
-      end
-    end
-end
+module Barrier = Parallel.Barrier
 
 type t = {
   rt : Runtime.t;

@@ -26,6 +26,40 @@ let run t n =
 
 let peek_int t id = t.peek_int id
 
+let parse_pokes circuit specs =
+  List.map
+    (fun spec ->
+      match String.split_on_char '=' spec with
+      | [ name; value ] -> (
+        match Circuit.find_node circuit name with
+        | Some n -> (n.Circuit.id, Bits.of_int ~width:n.Circuit.width (int_of_string value))
+        | None -> failwith (Printf.sprintf "no input named %S" name))
+      | _ -> failwith (Printf.sprintf "bad poke %S (want name=value)" spec))
+    specs
+
+(* The halt node is one bit wide, so [peek_int] reads it without
+   building a [Bits.t]: the loop allocates nothing per cycle. *)
+let run_to_halt ?halt t n =
+  match halt with
+  | None ->
+    run t n;
+    (max n 0, false)
+  | Some h ->
+    let rec go i =
+      if i >= n then (i, false)
+      else begin
+        t.step ();
+        if t.peek_int h <> 0 then (i + 1, true) else go (i + 1)
+      end
+    in
+    go 0
+
+let outputs t circuit =
+  List.map
+    (fun (n : Circuit.node) ->
+      (n.Circuit.name, Format.asprintf "%a" Bits.pp (t.peek n.Circuit.id)))
+    (Circuit.outputs circuit)
+
 let poke_int t id v =
   let w = (Circuit.node t.circuit id).Circuit.width in
   t.poke id (Bits.of_int ~width:w v)

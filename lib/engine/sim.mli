@@ -54,6 +54,19 @@ val run : t -> int -> unit
 val peek_int : t -> int -> int
 (** Low 62 bits of a node's value as an int ({!field-peek_int}). *)
 
+val parse_pokes : Circuit.t -> string list -> (int * Bits.t) list
+(** Resolve ["name=value"] input assignments against the circuit;
+    raises [Failure] on an unknown name or a malformed spec. *)
+
+val run_to_halt : ?halt:int -> t -> int -> int * bool
+(** [run_to_halt ?halt t n] steps up to [n] cycles and stops after the
+    first cycle that leaves the one-bit [halt] node nonzero.  Returns the
+    cycles stepped and whether the halt fired. *)
+
+val outputs : t -> Circuit.t -> (string * string) list
+(** Every output of [circuit] with its current value, formatted by
+    {!Bits.pp}. *)
+
 val poke_int : t -> int -> int -> unit
 (** Poke an input by int; the value is truncated to the node's width. *)
 

@@ -530,25 +530,13 @@ let run ?(skip = fun _ -> false) ?on_record ?progress ?stop_after
            match
              release_all ();
              fork inject_cycle;
-             let width = (Circuit.node circuit orig_id).Circuit.width in
-             (* Bits.shift_left widens by the shift amount; resize back. *)
-             let onehot b = Bits.resize_unsigned (Bits.shift_left (Bits.one 1) b) ~width in
-             (match f.Fault.model with
-              | Fault.Seu b when is_register ->
-                (* Latch the flipped value; the state evolves from it. *)
-                fsim.Sim.write_reg id (Bits.logxor (fsim.Sim.peek id) (onehot b));
-                fsim.Sim.invalidate ()
-              | Fault.Seu b ->
-                let gv = Hashtbl.find g.samples (orig_id, inject_cycle) in
-                fsim.Sim.force ~mask:(onehot b) id (Bits.logxor gv (onehot b));
-                active_forces := [ (id, inject_cycle + 1) ]
-              | Fault.Stuck (v, b, d) ->
-                let m = onehot b in
-                fsim.Sim.force ~mask:m id (if v then m else Bits.zero width);
-                active_forces := [ (id, inject_cycle + d) ]
-              | Fault.Word_force (v, d) ->
-                fsim.Sim.force id v;
-                active_forces := [ (id, inject_cycle + d) ]);
+             Fault.inject fsim ~register:is_register
+               ~width:(Circuit.node circuit orig_id).Circuit.width
+               ~before:(fun () -> Hashtbl.find g.samples (orig_id, inject_cycle))
+               id f;
+             Option.iter
+               (fun c -> active_forces := [ (id, c) ])
+               (Fault.release_cycle ~register:is_register f);
              let detected = ref None in
              while !detected = None && !c < endc do
                release_due !c;

@@ -113,3 +113,49 @@ let random ?(models = [ `Seu; `Stuck0; `Stuck1; `Word ]) ?(duration = 2) ~seed ~
         { target = name; model; cycle })
     |> List.sort_uniq compare
   end
+
+let models_of_string s =
+  List.map
+    (function
+      | "seu" -> `Seu
+      | "stuck0" -> `Stuck0
+      | "stuck1" -> `Stuck1
+      | "word" -> `Word
+      | other ->
+        failwith (Printf.sprintf "unknown fault model %S (seu, stuck0, stuck1, word)" other))
+    (String.split_on_char ',' s)
+
+let select ~keys ~random:count ?models ~duration ~seed ~horizon c =
+  let models = Option.map models_of_string models in
+  let faults =
+    List.map of_key keys
+    @ if count > 0 then random ?models ~duration ~seed ~count ~horizon c else []
+  in
+  if faults = [] then failwith "no faults to inject: give --faults N and/or --fault KEY";
+  faults
+
+let release_cycle ~register f =
+  match f.model with
+  | Seu _ when register -> None
+  | Seu _ -> Some (f.cycle + 1)
+  | Stuck (_, _, d) | Word_force (_, d) -> Some (f.cycle + d)
+
+let inject ?before (sim : Gsim_engine.Sim.t) ~register ~width id f =
+  (* Bits.shift_left widens by the shift amount; resize back. *)
+  let onehot b =
+    if b < 0 || b >= width then
+      failwith (Printf.sprintf "fault %s: bit %d out of range" (key f) b)
+    else Bits.resize_unsigned (Bits.shift_left (Bits.one 1) b) ~width
+  in
+  match f.model with
+  | Seu b when register ->
+    (* Latch the flipped value; the state evolves from it. *)
+    sim.write_reg id (Bits.logxor (sim.peek id) (onehot b));
+    sim.invalidate ()
+  | Seu b ->
+    let v = match before with Some v -> v () | None -> sim.peek id in
+    sim.force ~mask:(onehot b) id (Bits.logxor v (onehot b))
+  | Stuck (v, b, _) ->
+    let m = onehot b in
+    sim.force ~mask:m id (if v then m else Bits.zero width)
+  | Word_force (v, _) -> sim.force id v

@@ -52,3 +52,28 @@ val random :
 (** [random ~seed ~count ~horizon c] draws [count] faults (deduplicated,
     sorted by key order) over the candidate signals, with injection
     cycles in [\[0, horizon)].  Deterministic in [seed]. *)
+
+val select :
+  keys:string list ->
+  random:int ->
+  ?models:string ->
+  duration:int ->
+  seed:int -> horizon:int -> Circuit.t -> t list
+(** A campaign's fault list: the explicit [keys] ({!of_key}) followed by
+    [random] draws of {!random}, restricted to [models], a
+    comma-separated subset of [seu,stuck0,stuck1,word].  Raises
+    [Failure] on a bad key or model name, or when the list is empty. *)
+
+val inject :
+  ?before:(unit -> Bits.t) ->
+  Gsim_engine.Sim.t -> register:bool -> width:int -> int -> t -> unit
+(** Apply the fault to node [id] (of [width] bits) now: an SEU on a
+    [register] latches the flipped value, every other model forces the
+    node through the engine's override layer until {!release_cycle}.
+    [before] is the node's fault-free value this cycle for an SEU on a
+    non-register (default: peek it).  Raises [Failure] when the fault's
+    bit is out of range. *)
+
+val release_cycle : register:bool -> t -> int option
+(** The cycle at which {!inject}'s force must be released; [None] for a
+    latched register SEU. *)

@@ -1,4 +1,3 @@
-module Bits = Gsim_bits.Bits
 module Circuit = Gsim_ir.Circuit
 module Sim = Gsim_engine.Sim
 module Checkpoint = Gsim_engine.Checkpoint
@@ -101,18 +100,79 @@ let config_of_opts (o : P.engine_opts) =
   Gsim.config_of_names ~engine:o.eo_engine ~threads:o.eo_threads ~level:o.eo_level
     ~max_supernode:o.eo_max_supernode ~backend:o.eo_backend
 
-let fuzz_setups = function
-  | None -> Fuzz.default_setups
-  | Some s -> List.map (fun name -> Fuzz.setup_of_name name) (String.split_on_char ',' s)
-
 let config_error req =
   let check f = match f () with _ -> None | exception Failure m -> Some m in
   match req with
   | P.Sim (_, j) -> check (fun () -> config_of_opts j.P.sj_opts)
   | P.Campaign (_, j) -> check (fun () -> config_of_opts j.P.cj_opts)
   | P.Coverage (_, j) -> check (fun () -> config_of_opts j.P.vj_opts)
-  | P.Fuzz (_, j) -> check (fun () -> fuzz_setups j.P.fj_setups)
+  | P.Fuzz (_, j) -> check (fun () -> Fuzz.setups_of_string j.P.fj_setups)
   | P.Status | P.Shutdown -> None
+
+(* --- job bodies ------------------------------------------------------------
+   One body per job kind, shared by the daemon below and the local CLI:
+   each turns its Protocol record into a result the same way wherever the
+   record runs.  The callers add only what belongs to them (plan cache,
+   stride ticks and spooling here; VCD, checkpoints and resume there). *)
+
+let run_sim_job ?(stride = max_int) ?(between = fun _ -> true) ?(from = 0) ?halt config
+    circuit sim (sj : P.sim_job) =
+  List.iter (fun (id, v) -> sim.Sim.poke id v) (Sim.parse_pokes circuit sj.sj_pokes);
+  let rec go cycles =
+    let ran, halted = Sim.run_to_halt ?halt sim (min stride (sj.sj_cycles - cycles)) in
+    let cycles = cycles + ran in
+    if halted || cycles >= sj.sj_cycles || not (between cycles) then (cycles, halted)
+    else go cycles
+  in
+  let cycles, halted = go from in
+  {
+    P.sr_engine = config.Gsim.config_name;
+    sr_cycles = cycles;
+    sr_halted = halted;
+    sr_outputs = Sim.outputs sim circuit;
+    sr_cache_hit = false;
+    sr_compile_seconds = 0.;
+    sr_preemptions = 0;
+  }
+
+let run_campaign_job ?(start = fun ~design ~horizon -> Fault_db.create ~design ~horizon ())
+    ?on_record ?progress ?stop_after ?golden_dir (cj : P.campaign_job) =
+  let config = config_of_opts cj.cj_opts in
+  let source = Compile.source_of_string ~filename:cj.cj_filename cj.cj_design in
+  let circuit = source.Compile.circuit in
+  let faults =
+    Fault.select ~keys:cj.cj_faults ~random:cj.cj_random ?models:cj.cj_models
+      ~duration:cj.cj_duration ~seed:cj.cj_seed ~horizon:cj.cj_horizon circuit
+  in
+  let pokes = Sim.parse_pokes circuit cj.cj_pokes in
+  let partial = start ~design:(Circuit.name circuit) ~horizon:cj.cj_horizon in
+  let total = List.length faults in
+  let progress = Option.map (fun p d _ -> p (d + Fault_db.count partial) total) progress in
+  let fresh =
+    Campaign.run ~skip:(Fault_db.mem partial) ?on_record ?progress ?stop_after
+      ~stimulus:(fun _ -> pokes)
+      ?golden_dir:(Option.map (fun dir -> dir source config) golden_dir)
+      { Campaign.horizon = cj.cj_horizon; budget = cj.cj_budget }
+      config circuit faults
+  in
+  (Fault_db.merge partial fresh, total)
+
+let fuzz_campaign ~dir (fj : P.fuzz_job) =
+  {
+    Fuzz.default_campaign with
+    Fuzz.seed = fj.fj_seed;
+    cases = fj.fj_cases;
+    start_case = fj.fj_from;
+    cycles = fj.fj_cycles;
+    setups = Fuzz.setups_of_string fj.fj_setups;
+    dir;
+  }
+
+let collect_coverage ?halt (compiled : Gsim.compiled) circuit (vj : P.cov_job) =
+  let cov, sim = Cov_collect.of_sim ?activity:compiled.Gsim.activity compiled.Gsim.sim in
+  List.iter (fun (id, v) -> sim.Sim.poke id v) (Sim.parse_pokes circuit vj.vj_pokes);
+  ignore (Sim.run_to_halt ?halt sim vj.vj_cycles);
+  Cov_collect.db cov
 
 (* Two-level plan lookup.  The fast path keys on the digest of the raw
    design text so a repeat request skips even the frontend; a text miss
@@ -141,17 +201,6 @@ let compiled_plan ctx config ~filename ~text =
        Plan_cache.add ctx.cache circuit_key plan;
        Plan_cache.add ctx.cache text_key plan;
        (plan, false, Unix.gettimeofday () -. t0))
-
-let parse_pokes circuit specs =
-  List.map
-    (fun spec ->
-      match String.split_on_char '=' spec with
-      | [ name; value ] -> (
-        match Circuit.find_node circuit name with
-        | Some n -> (n.Circuit.id, Bits.of_int ~width:n.Circuit.width (int_of_string value))
-        | None -> failwith (Printf.sprintf "no input named %S" name))
-      | _ -> failwith (Printf.sprintf "bad poke %S (want name=value)" spec))
-    specs
 
 let job_dir ctx job name =
   let dir = Filename.concat ctx.spool (Printf.sprintf "%s-job-%03d" name job.id) in
@@ -225,20 +274,6 @@ let run_sim ctx job ~tick (sj : P.sim_job) =
          | None -> ()
          | exception (Failure _ | Sys_error _) -> ()
      end);
-  List.iter (fun (id, v) -> sim.Sim.poke id v) (parse_pokes circuit sj.sj_pokes);
-  let halted = ref false in
-  let target = sj.sj_cycles in
-  let step_window n =
-    let stepped = ref 0 in
-    while !stepped < n && not !halted do
-      sim.Sim.step ();
-      incr stepped;
-      job.done_cycles <- job.done_cycles + 1;
-      match halt with
-      | Some h when not (Bits.is_zero (sim.Sim.peek h)) -> halted := true
-      | _ -> ()
-    done
-  in
   (* Every sim job steps in [preempt_stride]-cycle windows and ticks at
      each boundary: the tick heartbeats to the supervisor, honours a
      cancellation, and lets the chaos harness strike.  Only batch jobs
@@ -248,44 +283,34 @@ let run_sim ctx job ~tick (sj : P.sim_job) =
      progress plus the backoff.  Interactive jobs are short and their
      client retries, so they skip the spool entirely. *)
   let stride = if ctx.preempt_stride > 0 then ctx.preempt_stride else max_int in
-  let preemptible = job.priority > 0 && ctx.preempt_stride > 0 in
-  let spooling = job.priority > 0 && ctx.preempt_stride > 0 in
+  let batch = job.priority > 0 && ctx.preempt_stride > 0 in
   let yielded = ref false in
-  while (not !yielded) && (not !halted) && job.done_cycles < target do
-    let window = min stride (target - job.done_cycles) in
-    step_window window;
-    if (not !halted) && job.done_cycles < target then begin
-      tick ();
-      let want_yield =
-        preemptible && Scheduler.higher_waiting ctx.sched ~than:job.priority
-      in
-      if spooling || want_yield then begin
-        let ck = Checkpoint.with_cycle (Checkpoint.capture sim) job.done_cycles in
-        spool_generation ctx job ck;
-        if want_yield then begin
-          job.ck <- Some ck;
-          job.preemptions <- job.preemptions + 1;
-          Atomic.incr ctx.preemption_count;
-          yielded := true
-        end
+  let between cycles =
+    job.done_cycles <- cycles;
+    tick ();
+    if batch then begin
+      let ck = Checkpoint.with_cycle (Checkpoint.capture sim) cycles in
+      spool_generation ctx job ck;
+      if Scheduler.higher_waiting ctx.sched ~than:job.priority then begin
+        job.ck <- Some ck;
+        job.preemptions <- job.preemptions + 1;
+        Atomic.incr ctx.preemption_count;
+        yielded := true
       end
-    end
-  done;
+    end;
+    not !yielded
+  in
+  let r =
+    run_sim_job ~stride ~between ~from:job.done_cycles ?halt config circuit sim sj
+  in
+  job.done_cycles <- r.P.sr_cycles;
   if !yielded then Yielded
   else begin
-    let outputs =
-      Circuit.outputs circuit
-      |> List.map (fun (n : Circuit.node) ->
-             (n.Circuit.name, Format.asprintf "%a" Bits.pp (sim.Sim.peek n.Circuit.id)))
-    in
     remove_dir (Filename.concat ctx.spool (Printf.sprintf "sim-job-%03d" job.id));
     Done
       (P.Sim_done
          {
-           sr_engine = config.Gsim.config_name;
-           sr_cycles = job.done_cycles;
-           sr_halted = !halted;
-           sr_outputs = outputs;
+           r with
            sr_cache_hit = job.cache_hit;
            sr_compile_seconds = job.compile_seconds;
            sr_preemptions = job.preemptions;
@@ -294,56 +319,28 @@ let run_sim ctx job ~tick (sj : P.sim_job) =
 
 (* --- fault campaign ------------------------------------------------------ *)
 
-let models_of_string s =
-  List.map
-    (function
-      | "seu" -> `Seu
-      | "stuck0" -> `Stuck0
-      | "stuck1" -> `Stuck1
-      | "word" -> `Word
-      | other ->
-        failwith (Printf.sprintf "unknown fault model %S (seu, stuck0, stuck1, word)" other))
-    (String.split_on_char ',' s)
-
+(* Golden traces are cached like plans: one directory per (circuit,
+   config, horizon), so every shard of a campaign — and every repeat
+   campaign on the same design — reuses one golden simulation.
+   Campaign.run itself validates the cache and rebuilds it if the design
+   or configuration changed under the same key. *)
 let run_campaign ctx _job (cj : P.campaign_job) =
   let t0 = Unix.gettimeofday () in
-  let config = config_of_opts cj.cj_opts in
-  let source = Compile.source_of_string ~filename:cj.cj_filename cj.cj_design in
-  let circuit = source.Compile.circuit in
-  let models = Option.map models_of_string cj.cj_models in
-  let faults =
-    List.map Fault.of_key cj.cj_faults
-    @
-    if cj.cj_random > 0 then
-      Fault.random ?models ~duration:cj.cj_duration ~seed:cj.cj_seed ~count:cj.cj_random
-        ~horizon:cj.cj_horizon circuit
-    else []
+  let warm = ref false in
+  let golden_dir (source : Compile.source) config =
+    let dir =
+      Filename.concat
+        (Filename.concat ctx.spool "golden")
+        (Printf.sprintf "%s-%s-%d"
+           (String.sub source.Compile.hash 0 16)
+           (Digest.to_hex (Digest.string (Compile.fingerprint config)))
+           cj.cj_horizon)
+    in
+    warm := Sys.file_exists dir && (try Sys.readdir dir <> [||] with Sys_error _ -> false);
+    Atomic.incr (if !warm then ctx.golden_hits else ctx.golden_misses);
+    dir
   in
-  if faults = [] then failwith "no faults to inject: give random>0 and/or fault keys";
-  let const_pokes = parse_pokes circuit cj.cj_pokes in
-  let stimulus _cycle = const_pokes in
-  (* Golden traces are cached like plans: one directory per (circuit,
-     config, horizon), so every shard of a campaign — and every repeat
-     campaign on the same design — reuses one golden simulation.
-     Campaign.run itself validates the cache and rebuilds it if the
-     design or configuration changed under the same key. *)
-  let golden_dir =
-    Filename.concat
-      (Filename.concat ctx.spool "golden")
-      (Printf.sprintf "%s-%s-%d"
-         (String.sub source.Compile.hash 0 16)
-         (Digest.to_hex (Digest.string (Compile.fingerprint config)))
-         cj.cj_horizon)
-  in
-  let warm = Sys.file_exists golden_dir && (try Sys.readdir golden_dir <> [||] with Sys_error _ -> false) in
-  Atomic.incr (if warm then ctx.golden_hits else ctx.golden_misses);
-  let cfg = { Campaign.horizon = cj.cj_horizon; budget = cj.cj_budget } in
-  let fresh = Campaign.run ~stimulus ~golden_dir cfg config circuit faults in
-  let db =
-    Fault_db.merge
-      (Fault_db.create ~design:(Circuit.name circuit) ~horizon:cj.cj_horizon ())
-      fresh
-  in
+  let db, _ = run_campaign_job ~golden_dir cj in
   let s = Fault_db.summary db in
   Done
     (P.Db_done
@@ -353,7 +350,7 @@ let run_campaign ctx _job (cj : P.campaign_job) =
          dr_summary =
            Printf.sprintf "%d fault(s) classified, coverage %.1f%%" (Fault_db.count db)
              (Fault_db.coverage_percent s);
-         dr_cache_hit = warm;
+         dr_cache_hit = !warm;
          dr_seconds = Unix.gettimeofday () -. t0;
        })
 
@@ -361,20 +358,8 @@ let run_campaign ctx _job (cj : P.campaign_job) =
 
 let run_fuzz ctx job (fj : P.fuzz_job) =
   let t0 = Unix.gettimeofday () in
-  let setups = fuzz_setups fj.fj_setups in
   let dir = job_dir ctx job "fuzz" in
-  let campaign =
-    {
-      Fuzz.default_campaign with
-      Fuzz.seed = fj.fj_seed;
-      cases = fj.fj_cases;
-      start_case = fj.fj_from;
-      cycles = fj.fj_cycles;
-      setups;
-      dir;
-    }
-  in
-  let result = Fuzz.run campaign in
+  let result = Fuzz.run (fuzz_campaign ~dir fj) in
   let text = Corpus.to_string result.Fuzz.db in
   remove_dir dir;
   Done
@@ -396,25 +381,11 @@ let run_cov ctx job (vj : P.cov_job) =
   let config = config_of_opts vj.vj_opts in
   let plan, hit, _ = compiled_plan ctx config ~filename:vj.vj_filename ~text:vj.vj_design in
   job.cache_hit <- hit;
-  let circuit = Compile.plan_circuit plan in
-  let halt = Compile.plan_halt plan in
   let compiled = Compile.realize plan in
   Fun.protect ~finally:compiled.Gsim.destroy @@ fun () ->
-  let cov, sim =
-    match compiled.Gsim.activity with
-    | Some engine -> Cov_collect.of_activity ~name:compiled.Gsim.sim.Sim.sim_name engine
-    | None -> Cov_collect.create compiled.Gsim.sim
+  let db =
+    collect_coverage ?halt:(Compile.plan_halt plan) compiled (Compile.plan_circuit plan) vj
   in
-  List.iter (fun (id, v) -> sim.Sim.poke id v) (parse_pokes circuit vj.vj_pokes);
-  (try
-     for _ = 1 to vj.vj_cycles do
-       sim.Sim.step ();
-       match halt with
-       | Some h when not (Bits.is_zero (sim.Sim.peek h)) -> raise Exit
-       | _ -> ()
-     done
-   with Exit -> ());
-  let db = Cov_collect.db cov in
   let s = Cov_db.summary db in
   Done
     (P.Db_done

@@ -31,6 +31,68 @@
     escapes {!execute} entirely, killing the worker Domain the way a
     real crash would. *)
 
+(** {1 Job bodies}
+
+    One body per job kind turns its {!Protocol} record into a result.
+    {!execute} runs them inside the daemon and the [gsim] CLI runs the
+    same ones in-process, so a job gives the same answer wherever its
+    record runs; each caller adds only what is its own (plan cache,
+    stride ticks and spooling here; VCD, checkpoints and resume in the
+    CLI). *)
+
+val config_of_opts : Protocol.engine_opts -> Gsim_core.Gsim.config
+(** {!Gsim_core.Gsim.config_of_names} over the wire options; raises
+    [Failure] on an unknown name. *)
+
+val run_sim_job :
+  ?stride:int ->
+  ?between:(int -> bool) ->
+  ?from:int ->
+  ?halt:int ->
+  Gsim_core.Gsim.config ->
+  Gsim_ir.Circuit.t ->
+  Gsim_engine.Sim.t ->
+  Protocol.sim_job ->
+  Protocol.sim_result
+(** Pokes the job's inputs (resolved against the circuit), then steps
+    from cycle [from] (default 0) toward [sj_cycles] in [stride]-cycle
+    windows, stopping after a cycle that raises [halt].  [between c]
+    runs at every window boundary short of the end with the cycles done
+    so far; [false] pauses the run there.  The result carries the
+    configuration's name, the cycles reached and every output of the
+    circuit; the plan-cache and preemption fields are left zero. *)
+
+val run_campaign_job :
+  ?start:(design:string -> horizon:int -> Gsim_fault.Db.t) ->
+  ?on_record:(string -> Gsim_fault.Db.record -> unit) ->
+  ?progress:(int -> int -> unit) ->
+  ?stop_after:int ->
+  ?golden_dir:(Gsim_core.Gsim.Compile.source -> Gsim_core.Gsim.config -> string) ->
+  Protocol.campaign_job ->
+  Gsim_fault.Db.t * int
+(** Builds the fault list ({!Gsim_fault.Fault.select}) and runs
+    {!Gsim_fault.Campaign.run} with the job's pokes driven every cycle.
+    [start] gives the database to resume (its faults are skipped and it
+    is merged into the result; default: an empty one); [progress done
+    total] counts its faults as done; [golden_dir] names where the golden
+    model persists.  Returns the merged database and the fault-list
+    length. *)
+
+val fuzz_campaign : dir:string -> Protocol.fuzz_job -> Gsim_verify.Fuzz.campaign
+(** The job's {!Gsim_verify.Fuzz.campaign} writing into [dir]; fields the
+    job does not carry keep {!Gsim_verify.Fuzz.default_campaign}. *)
+
+val collect_coverage :
+  ?halt:int ->
+  Gsim_core.Gsim.compiled ->
+  Gsim_ir.Circuit.t ->
+  Protocol.cov_job ->
+  Gsim_coverage.Db.t
+(** Attaches a coverage collector, pokes the job's inputs and runs up to
+    [vj_cycles] cycles or until [halt]. *)
+
+(** {1 Daemon jobs} *)
+
 type job = {
   id : int;
   priority : int;  (** scheduler level, 0 = interactive *)

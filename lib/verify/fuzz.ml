@@ -55,6 +55,10 @@ let default_setups =
        [ make "verilator" `Native; make "gsim" `Native ]
      else [])
 
+let setups_of_string = function
+  | None -> default_setups
+  | Some s -> List.map (fun name -> setup_of_name name) (String.split_on_char ',' s)
+
 let setup_config ?level s =
   let preset = preset_of_engine s.s_engine in
   { preset with

@@ -31,6 +31,10 @@ val default_setups : setup list
 val setup_of_name : ?level:Gsim_passes.Pipeline.level -> string -> setup
 (** Parse ["gsim+closures"]; level defaults to the preset's. *)
 
+val setups_of_string : string option -> setup list
+(** A comma-separated list of {!setup_of_name} names; [None] is
+    {!default_setups}. *)
+
 val subject_of_setup :
   ?level:Gsim_passes.Pipeline.level -> ?forcible:int list -> setup -> Oracle.subject
 (** An oracle subject that instantiates the setup's full pipeline+engine
